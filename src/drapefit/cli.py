@@ -32,11 +32,6 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, help="override the config seed")
     sub.add_argument("--out", help="override the output directory")
     sub.add_argument("--threads", type=int, default=1, help="worker threads (atlas rasterization)")
-    sub.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force the serial deterministic path (already the default)",
-    )
 
 
 def _load_config(args) -> cfgmod.RunConfig:

@@ -18,7 +18,7 @@ from .errors import ConfigError, IoFailure
 from .losses import LossWeights, PhysicsConstants
 from .objio import read_obj
 from .restatlas import GarmentRestMesh, square_cloth
-from .sampler import LOSS_NAMES, SamplerConfig
+from .sampler import SamplerConfig
 from .surface import ENCODING_MULTIGRID, EncoderConfig
 from .trainer import TrainConfig
 
@@ -71,8 +71,6 @@ class RunConfig:
     export: ExportSpec = field(default_factory=ExportSpec)
     bench: BenchSpec = field(default_factory=BenchSpec)
     out: str = "runs/out"
-    threads: int = 1
-    deterministic: bool = True
 
     def build_garment(self) -> GarmentRestMesh:
         if self.garment.source == "square":
@@ -206,8 +204,6 @@ def load_config(path) -> RunConfig:
     cfg = RunConfig()
     r = _SectionReader(parser, "run", errors)
     cfg.out = r.get("out", str, cfg.out)
-    cfg.threads = r.get("threads", int, cfg.threads)
-    cfg.deterministic = r.get("deterministic", _parse_bool, cfg.deterministic)
     r.finish()
 
     g = _SectionReader(parser, "garment", errors)
@@ -285,7 +281,6 @@ def load_config(path) -> RunConfig:
         n_points=s.get("n_points", int, sc.n_points),
         lloyd_iterations=s.get("lloyd_iterations", int, sc.lloyd_iterations),
         min_spacing=s.get("min_spacing", float, sc.min_spacing),
-        seed=s.get("seed", int, sc.seed),
         pdf_losses=s.get("pdf_losses", _parse_str_tuple, sc.pdf_losses),
     )
     s.finish()
@@ -348,11 +343,6 @@ def _structural_problems(cfg: RunConfig) -> list:
         errors.append(f"[collider] path does not exist: {cfg.collider.path!r}")
     if cfg.export.resolution < 2:
         errors.append("[export] resolution must be >= 2")
-    if cfg.threads < 1:
-        errors.append("[run] threads must be >= 1")
-    unknown_losses = set(cfg.train.sampler.pdf_losses) - set(LOSS_NAMES)
-    if unknown_losses:
-        errors.append(f"[sampler] unknown pdf_losses {sorted(unknown_losses)}")
     if cfg.bench.optimizer not in ("sgd", "adam"):
         errors.append("[bench] optimizer must be sgd or adam")
     return errors
@@ -362,11 +352,7 @@ def save_config(cfg: RunConfig, path) -> None:
     """Write the fully normalized configuration (all defaults materialized)."""
     parser = configparser.ConfigParser(interpolation=None)
     tc = cfg.train
-    parser["run"] = {
-        "out": cfg.out,
-        "threads": _fmt(cfg.threads),
-        "deterministic": _fmt(cfg.deterministic),
-    }
+    parser["run"] = {"out": cfg.out}
     parser["garment"] = {
         "source": cfg.garment.source,
         "resolution": _fmt(cfg.garment.resolution),
@@ -421,7 +407,6 @@ def save_config(cfg: RunConfig, path) -> None:
         "n_points": _fmt(sc.n_points),
         "lloyd_iterations": _fmt(sc.lloyd_iterations),
         "min_spacing": _fmt(sc.min_spacing),
-        "seed": _fmt(sc.seed),
         "pdf_losses": _fmt(sc.pdf_losses),
     }
     enc = {

@@ -49,6 +49,10 @@ class DegenerateMesh(DrapefitError):
     """Mesh has no usable (non-degenerate) faces."""
 
 
+class DegenerateVoronoiCell(DrapefitError):
+    """Lloyd relaxation met an unbounded or sub-triangular Voronoi cell."""
+
+
 class AllPointsInvalid(DrapefitError):
     """Every sampled point failed structure construction after resampling."""
 

@@ -26,7 +26,6 @@ from .structures import (
     FACES,
     INNER_EDGE_COUNT,
     LocalStructure3D,
-    build_structure_2d,
     structure_vertices,
 )
 from .surface import SurfaceModel, forward_batch
@@ -55,6 +54,15 @@ class LossWeights:
             "gravity": self.gravity,
             "collision": self.collision,
         }
+
+    def total(self, strain, bend, gravity, collision):
+        """Weighted sum of the four loss terms; scalars or arrays alike."""
+        return (
+            self.strain * strain
+            + self.bend * bend
+            + self.gravity * gravity
+            + self.collision * collision
+        )
 
 
 @dataclass
@@ -90,12 +98,7 @@ class LossBreakdown:
 
     @classmethod
     def combine(cls, weights: LossWeights, strain, bend, gravity, collision):
-        total = (
-            weights.strain * strain
-            + weights.bend * bend
-            + weights.gravity * gravity
-            + weights.collision * collision
-        )
+        total = weights.total(strain, bend, gravity, collision)
         return cls(float(strain), float(bend), float(gravity), float(collision), float(total))
 
 
@@ -319,6 +322,28 @@ def structure_loss(
 STRIDE = 7  # rows per structure: 6 patch vertices then the center point
 
 
+def _lift_patches(mesh, centers, thetas, side, edge_set, strain_form):
+    """Lay the patches out in UV and look up their rest positions.
+
+    Returns the UV points (B, 7, 2), their rest positions (B, 7, 3), the
+    validity that ``structure_validity`` documents (B,) and the selected
+    edges' rest lengths (B, E).
+    """
+    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
+    B = len(centers)
+    verts = structure_vertices(centers, thetas, side)          # (B, 6, 2)
+    pts = np.concatenate([verts, centers[:, None, :]], axis=1)  # (B, 7, 2)
+    rest, point_ok = mesh.locator().rest_positions(pts.reshape(B * STRIDE, 2))
+    rest = rest.reshape(B, STRIDE, 3)
+    valid = point_ok.reshape(B, STRIDE).all(axis=1)
+    edges = _structure_edges(edge_set)
+    rest_lengths = np.linalg.norm(rest[:, edges[:, 0]] - rest[:, edges[:, 1]], axis=2)
+    if strain_form == "relative":
+        valid &= np.all(rest_lengths > 1e-12, axis=1)
+    return pts, rest, valid, rest_lengths
+
+
 def structure_validity(
     mesh: GarmentRestMesh,
     centers,
@@ -333,21 +358,7 @@ def structure_validity(
     triangulation and, for the relative strain form, every selected edge has
     a positive rest length.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    B = len(centers)
-    verts = structure_vertices(centers, thetas, side)
-    pts = np.concatenate([verts, centers[:, None, :]], axis=1).reshape(B * STRIDE, 2)
-    rest, ok = mesh.locator().rest_positions(pts)
-    valid = ok.reshape(B, STRIDE).all(axis=1)
-    if strain_form == "relative":
-        rest = rest.reshape(B, STRIDE, 3)
-        edges = _structure_edges(edge_set)
-        lengths = np.linalg.norm(
-            rest[:, edges[:, 0]] - rest[:, edges[:, 1]], axis=2
-        )
-        valid &= np.all(lengths > 1e-12, axis=1)
-    return valid
+    return _lift_patches(mesh, centers, thetas, side, edge_set, strain_form)[2]
 
 
 @dataclass
@@ -370,14 +381,6 @@ class StructureBatchResult:
     tape: object = None
     upstream: np.ndarray | None = None
 
-    def weighted_totals(self, weights: LossWeights) -> np.ndarray:
-        return (
-            weights.strain * self.strain
-            + weights.bend * self.bend
-            + weights.gravity * self.gravity
-            + weights.collision * self.collision
-        )
-
 
 def evaluate_structure_batch(
     model: SurfaceModel,
@@ -394,29 +397,14 @@ def evaluate_structure_batch(
 ) -> StructureBatchResult:
     """Evaluate the four losses on a batch of patches in one vectorized pass.
 
-    A structure is valid when its six vertices and its center all lie inside
-    the garment's UV triangulation and every selected edge has a positive
-    rest length. Invalid structures contribute zero everywhere.
+    Validity is that of ``structure_validity``; invalid structures contribute
+    zero everywhere.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    B = len(centers)
-    loc = mesh.locator()
-
-    verts = structure_vertices(centers, thetas, side)          # (B, 6, 2)
-    pts = np.concatenate([verts, centers[:, None, :]], axis=1)  # (B, 7, 2)
-    flat_pts = pts.reshape(B * STRIDE, 2)
-    rest, point_ok = loc.rest_positions(flat_pts)
-    rest = rest.reshape(B, STRIDE, 3)
-    struct_ok = point_ok.reshape(B, STRIDE).all(axis=1)
-
+    pts, rest, struct_ok, rest_lengths = _lift_patches(
+        mesh, centers, thetas, side, edge_set, strain_form
+    )
+    B = len(pts)
     edges_local = _structure_edges(edge_set)
-    rest_len_all = np.linalg.norm(
-        rest[:, EDGES[:, 0]] - rest[:, EDGES[:, 1]], axis=2
-    )                                                           # (B, 9)
-    if strain_form == "relative":
-        sel = rest_len_all[:, : len(edges_local)] if edge_set == EDGE_SET_INNER else rest_len_all
-        struct_ok &= np.all(sel > 1e-12, axis=1)
 
     result = StructureBatchResult(
         valid=struct_ok,
@@ -440,7 +428,7 @@ def evaluate_structure_batch(
     edges = (edges_local[None, :, :] + offs).reshape(-1, 2)
     faces = (FACES[None, :, :] + offs).reshape(-1, 3)
     pairs = (FACE_PAIRS[None, :, :] + 4 * np.arange(K)[:, None, None]).reshape(-1, 2)
-    rest_sel = rest_len_all[struct_ok][:, : len(edges_local)].reshape(-1)
+    rest_sel = rest_lengths[struct_ok].reshape(-1)
 
     strain_terms = strain_edge_terms(positions, edges, rest_sel, strain_form)
     bend_terms = bend_pair_terms(positions, faces, pairs, result.diagnostics)

@@ -14,7 +14,7 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import Voronoi, distance
 
-from .errors import ShapeMismatch
+from .errors import DegenerateVoronoiCell, ShapeMismatch
 from .losses import (
     EDGE_SET_ALL,
     LossWeights,
@@ -67,7 +67,6 @@ class SamplerConfig:
     n_points: int = 1024
     lloyd_iterations: int = 3
     min_spacing: float = 0.005    # diagnostic threshold only
-    seed: int = 0
     pdf_losses: tuple = LOSS_NAMES  # which losses feed the PDF estimate
 
     def validate(self) -> None:
@@ -115,15 +114,9 @@ def estimate_cell_losses(
         model, mesh, collider, centers, thetas, weights, consts,
         side=side, edge_set=edge_set,
     )
-    per_term = {
-        "strain": weights.strain * batch.strain,
-        "bend": weights.bend * batch.bend,
-        "gravity": weights.gravity * batch.gravity,
-        "collision": weights.collision * batch.collision,
-    }
     est = np.zeros(M * N)
     for name in pdf_losses:
-        est += np.maximum(per_term[name], 0.0)
+        est += np.maximum(getattr(weights, name) * getattr(batch, name), 0.0)
     est[~batch.valid] = 0.0
     total = est.sum()
     if total <= 0.0:
@@ -163,17 +156,8 @@ def sample_cell(pdf: DiscretePdf, u: float, v: float) -> tuple:
     Returns 0-based (row, col). Zero-probability rows and columns are never
     selected.
     """
-    marginal = pdf.probs.sum(axis=1)
-    P = np.cumsum(marginal)
-    i = int(np.searchsorted(P, u, side="left"))
-    i = min(i, pdf.rows - 1)
-    i = int(_advance_past_zero(np.array([i]), marginal)[0])
-    row = pdf.probs[i]
-    Q = np.cumsum(row) / row.sum()
-    j = int(np.searchsorted(Q, v, side="left"))
-    j = min(j, pdf.cols - 1)
-    j = int(_advance_past_zero(np.array([j]), row)[0])
-    return i, j
+    rows, cols = _sample_cells_batch(pdf, np.array([u]), np.array([v]))
+    return int(rows[0]), int(cols[0])
 
 
 def sample_point_in_cell(
@@ -263,7 +247,10 @@ def lloyd_relax(points, iterations: int, domain=(0.0, 1.0, 0.0, 1.0)) -> np.ndar
 
     Clipping is realized by mirroring the sites across the four domain edges:
     inside the rectangle, added mirror sites are never closer than their
-    originals, so each original site's cell is exactly its clipped cell.
+    originals, so each original site's cell is exactly its clipped cell. A
+    site's bisector with its own mirror is a domain edge, so every original
+    cell is bounded; one that qhull returns unbounded or with fewer than
+    three vertices raises DegenerateVoronoiCell.
     """
     xmin, xmax, ymin, ymax = domain
     if not (xmax > xmin and ymax > ymin):
@@ -276,21 +263,14 @@ def lloyd_relax(points, iterations: int, domain=(0.0, 1.0, 0.0, 1.0)) -> np.ndar
         return pts
     for _ in range(iterations):
         sites = _nudge_duplicates(pts, lo, hi)
-        vor = Voronoi(_mirror_sites(sites))
+        vor = Voronoi(_mirror_sites(sites, lo, hi))
         regions = [vor.regions[r] for r in vor.point_region[:n]]
         lengths = np.array([len(r) for r in regions])
         flat = np.fromiter(chain.from_iterable(regions), dtype=np.int64)
         if (flat < 0).any() or (lengths < 3).any():
-            # unbounded or degenerate cell; should not occur with mirrored
-            # sites, but keep the affected points rather than crash
-            new_pts = sites.copy()
-            for k, region in enumerate(regions):
-                if -1 in region or len(region) < 3:
-                    continue
-                poly = vor.vertices[region]
-                new_pts[k] = _polygon_centroid(poly, sites[k])
-            pts = np.clip(new_pts, 0.0, 1.0)
-            continue
+            raise DegenerateVoronoiCell(
+                "Voronoi cell of a mirrored site set is unbounded or degenerate"
+            )
         vx = vor.vertices[flat, 0]
         vy = vor.vertices[flat, 1]
         stops = np.cumsum(lengths)
@@ -312,18 +292,8 @@ def lloyd_relax(points, iterations: int, domain=(0.0, 1.0, 0.0, 1.0)) -> np.ndar
         new_pts = sites.copy()
         new_pts[ok, 0] = cx[ok] / (3.0 * area2[ok])
         new_pts[ok, 1] = cy[ok] / (3.0 * area2[ok])
-        pts = np.clip(new_pts, 0.0, 1.0)
+        pts = np.clip(new_pts, lo, hi)
     return pts
-
-
-def _polygon_centroid(poly: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    x, y = poly[:, 0], poly[:, 1]
-    x2, y2 = np.roll(x, -1), np.roll(y, -1)
-    cr = x * y2 - x2 * y
-    area2 = cr.sum()
-    if abs(area2) <= 1e-30:
-        return fallback
-    return np.array([((x + x2) * cr).sum(), ((y + y2) * cr).sum()]) / (3.0 * area2)
 
 
 def min_spacing_report(points, delta: float) -> tuple:

@@ -8,7 +8,7 @@ hand for this fixed architecture; there is no general-purpose autodiff here.
 """
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,8 +69,20 @@ class EncoderConfig:
         )
 
     @property
-    def output_dim(self) -> int:
-        return len(self.layer_resolutions) * self.feature_dim
+    def grid_widths(self) -> tuple:
+        return (self.feature_dim,) * len(self.layer_resolutions)
+
+
+def encoding_width(encoding: str, grid_widths, num_frequencies: int) -> int:
+    """MLP input width of an encoding: the grid layers' summed feature widths,
+    the raw (u, v), or (u, v) plus a sin/cos pair per coordinate and frequency."""
+    if encoding == ENCODING_MULTIGRID:
+        return sum(grid_widths)
+    if encoding == ENCODING_IDENTITY:
+        return 2
+    if encoding == ENCODING_POSITIONAL:
+        return 2 + 4 * num_frequencies
+    raise InconsistentDims(f"unknown encoding {encoding!r}")
 
 
 @dataclass
@@ -100,11 +112,9 @@ class SurfaceModel:
 
     @property
     def input_dim(self) -> int:
-        if self.encoding == ENCODING_MULTIGRID:
-            return sum(g.feature_dim for g in self.grids)
-        if self.encoding == ENCODING_IDENTITY:
-            return 2
-        return 2 + 4 * self.num_frequencies
+        return encoding_width(
+            self.encoding, [g.feature_dim for g in self.grids], self.num_frequencies
+        )
 
     def param_arrays(self) -> list:
         arrays = [g.features for g in self.grids]
@@ -170,18 +180,13 @@ def init_model(
         raise InconsistentDims("MLP needs at least input and output dims")
     if dims[-1] != 3:
         raise InconsistentDims("MLP output dim must be 3")
-    if encoding == ENCODING_MULTIGRID:
-        if enc is None:
-            raise InconsistentDims("multigrid encoding requires an EncoderConfig")
-        expected_in = enc.output_dim
-    elif encoding == ENCODING_IDENTITY:
-        expected_in = 2
-    elif encoding == ENCODING_POSITIONAL:
-        if num_frequencies < 0:
-            raise InconsistentDims("num_frequencies must be >= 0")
-        expected_in = 2 + 4 * num_frequencies
-    else:
-        raise InconsistentDims(f"unknown encoding {encoding!r}")
+    if encoding == ENCODING_MULTIGRID and enc is None:
+        raise InconsistentDims("multigrid encoding requires an EncoderConfig")
+    if encoding == ENCODING_POSITIONAL and num_frequencies < 0:
+        raise InconsistentDims("num_frequencies must be >= 0")
+    expected_in = encoding_width(
+        encoding, enc.grid_widths if enc is not None else (), num_frequencies
+    )
     if dims[0] != expected_in:
         raise InconsistentDims(
             f"MLP input dim {dims[0]} does not match encoder output {expected_in}"
@@ -518,12 +523,7 @@ def load_checkpoint(path) -> SurfaceModel:
     if activation not in ("relu", "tanh"):
         raise FormatVersionMismatch(f"unknown activation {activation!r}")
 
-    if encoding == ENCODING_MULTIGRID:
-        expected_in = sum(f for _, f in grid_shapes)
-    elif encoding == ENCODING_IDENTITY:
-        expected_in = 2
-    else:
-        expected_in = 2 + 4 * num_frequencies
+    expected_in = encoding_width(encoding, [f for _, f in grid_shapes], num_frequencies)
     if not mlp_dims or mlp_dims[0] != expected_in:
         raise ShapeMismatch("MLP input dim disagrees with the encoding header")
 

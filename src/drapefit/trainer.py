@@ -54,6 +54,7 @@ from .surface import (
     GradientBuffer,
     SurfaceModel,
     backward,
+    encoding_width,
     forward_batch,
     init_model,
     load_checkpoint,
@@ -155,12 +156,8 @@ class TrainConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
     def mlp_dims(self) -> list:
-        if self.encoding == ENCODING_MULTIGRID:
-            d_in = self.encoder.output_dim
-        elif self.encoding == ENCODING_IDENTITY:
-            d_in = 2
-        else:
-            d_in = 2 + 4 * self.num_frequencies
+        grid_widths = self.encoder.grid_widths if self.encoder is not None else ()
+        d_in = encoding_width(self.encoding, grid_widths, self.num_frequencies)
         return [d_in, *self.mlp_hidden, 3]
 
     def build_model(self) -> SurfaceModel:
@@ -188,27 +185,26 @@ class OptimizerState:
     eps: float = 1e-8
 
     @classmethod
-    def create(cls, kind: str, model: SurfaceModel) -> "OptimizerState":
+    def create(cls, kind: str, arrays: list) -> "OptimizerState":
+        """State for the parameter ``arrays`` the later steps update."""
         if kind == "sgd":
             return cls("sgd")
-        arrays = model.param_arrays()
         return cls(
             "adam",
             m=[np.zeros_like(a) for a in arrays],
             v=[np.zeros_like(a) for a in arrays],
         )
 
-    def step(self, model: SurfaceModel, grads: GradientBuffer, lr: float) -> None:
-        params = model.param_arrays()
-        gs = grads.arrays()
+    def step(self, params: list, grads: list, lr: float) -> None:
+        """Update each array of ``params`` in place from its gradient."""
         if self.kind == "sgd":
-            for p, g in zip(params, gs):
+            for p, g in zip(params, grads):
                 p -= (lr * g).astype(p.dtype)
             return
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, gs, self.m, self.v):
+        for p, g, m, v in zip(params, grads, self.m, self.v):
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
@@ -235,7 +231,7 @@ class TrainState:
             pdf=DiscretePdf.uniform(config.sampler.pdf_rows, config.sampler.pdf_cols),
             history=[],
             rng=np.random.default_rng(config.seed),
-            opt=OptimizerState.create(config.optimizer, model),
+            opt=OptimizerState.create(config.optimizer, model.param_arrays()),
         )
 
     def totals(self) -> np.ndarray:
@@ -243,23 +239,21 @@ class TrainState:
 
 
 def _apply_gradients(state: TrainState, config: TrainConfig, grads: GradientBuffer):
-    for g in grads.arrays():
+    arrays = grads.arrays()
+    for g in arrays:
         if not np.all(np.isfinite(g)):
             raise NonFiniteLoss("non-finite gradient encountered")
-    state.opt.step(state.model, grads, config.learning_rate)
+    state.opt.step(state.model.param_arrays(), arrays, config.learning_rate)
 
 
-def _record_epoch(state, config, sums: dict, spacing: float, t0: float, n_used: int):
-    total = (
-        config.weights.strain * sums["strain"]
-        + config.weights.bend * sums["bend"]
-        + config.weights.gravity * sums["gravity"]
-        + config.weights.collision * sums["collision"]
-    )
+def _history_row(epoch: int, weights: LossWeights, sums: dict, spacing: float,
+                 n_points: int, t0: float) -> dict:
+    """One epoch's history row; ``sums`` holds the four raw loss sums."""
+    total = weights.total(**sums)
     if not np.isfinite(total):
-        raise NonFiniteLoss(f"epoch {state.epoch}: non-finite loss {sums}")
-    row = {
-        "epoch": state.epoch,
+        raise NonFiniteLoss(f"epoch {epoch}: non-finite loss {sums}")
+    return {
+        "epoch": epoch,
         "strain": float(sums["strain"]),
         "bend": float(sums["bend"]),
         "gravity": float(sums["gravity"]),
@@ -267,11 +261,8 @@ def _record_epoch(state, config, sums: dict, spacing: float, t0: float, n_used: 
         "total": float(total),
         "min_spacing": float(spacing),
         "epoch_ms": (time.perf_counter() - t0) * 1000.0,
-        "n_points": n_used,
+        "n_points": n_points,
     }
-    state.history.append(row)
-    state.epoch += 1
-    return row
 
 
 def train_epoch(
@@ -353,7 +344,10 @@ def train_epoch(
         "collision": batch.collision.sum(),
     }
     spacing, _ = min_spacing_report(points, scfg.min_spacing)
-    _record_epoch(state, config, sums, spacing, t0, len(points))
+    state.history.append(
+        _history_row(state.epoch, config.weights, sums, spacing, len(points), t0)
+    )
+    state.epoch += 1
     return state
 
 
@@ -481,19 +475,21 @@ def mesh_connectivity_baseline(
 
     if variant == "vertices":
         positions = mesh.vertices.copy()
-        velocity_opt = OptimizerState.create(config.optimizer, _ArrayHolder(positions))
+        opt = OptimizerState.create(config.optimizer, [positions])
         for _ in range(config.epochs):
             t0 = time.perf_counter()
             sums, dpos = _mesh_losses(
                 positions, graph, collider, config.weights, config.consts,
                 config.strain_form, want_grad=True,
             )
-            velocity_opt.step(_ArrayHolder(positions), _BufHolder(dpos), config.learning_rate)
-            history.append(_baseline_row(len(history), sums, config.weights, t0))
+            opt.step([positions], [dpos], config.learning_rate)
+            history.append(_history_row(
+                len(history), config.weights, sums, float("nan"), len(mesh.uvs), t0
+            ))
         return BaselineResult("vertices", positions.size, history, positions=positions)
 
     model = config.build_model()
-    opt = OptimizerState.create(config.optimizer, model)
+    opt = OptimizerState.create(config.optimizer, model.param_arrays())
     uv = mesh.uvs
     rest = mesh.vertices
     for _ in range(config.epochs):
@@ -505,46 +501,11 @@ def mesh_connectivity_baseline(
             config.strain_form, want_grad=True,
         )
         grads = backward(model, tape, dpos)
-        opt.step(model, grads, config.learning_rate)
-        history.append(_baseline_row(len(history), sums, config.weights, t0))
+        opt.step(model.param_arrays(), grads.arrays(), config.learning_rate)
+        history.append(_history_row(
+            len(history), config.weights, sums, float("nan"), len(uv), t0
+        ))
     return BaselineResult("model", model.param_count(), history, model=model)
-
-
-class _ArrayHolder:
-    """Adapts a bare position array to the optimizer's model interface."""
-
-    def __init__(self, array):
-        self._array = array
-
-    def param_arrays(self):
-        return [self._array]
-
-
-class _BufHolder:
-    def __init__(self, array):
-        self._array = array
-
-    def arrays(self):
-        return [self._array]
-
-
-def _baseline_row(epoch, sums, weights: LossWeights, t0):
-    total = (
-        weights.strain * sums["strain"]
-        + weights.bend * sums["bend"]
-        + weights.gravity * sums["gravity"]
-        + weights.collision * sums["collision"]
-    )
-    return {
-        "epoch": epoch,
-        "strain": float(sums["strain"]),
-        "bend": float(sums["bend"]),
-        "gravity": float(sums["gravity"]),
-        "collision": float(sums["collision"]),
-        "total": float(total),
-        "min_spacing": float("nan"),
-        "epoch_ms": (time.perf_counter() - t0) * 1000.0,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +735,7 @@ def load_train_state(prefix: str) -> TrainState:
     rng = np.random.default_rng()
     rng.bit_generator.state = json.loads(str(data["rng_state"]))
     kind = str(data["opt_kind"])
-    opt = OptimizerState.create(kind, model)
+    opt = OptimizerState.create(kind, model.param_arrays())
     if kind == "adam":
         opt.t = int(data["opt_t"])
         opt.m = [data[f"adam_m_{i}"] for i in range(len(model.param_arrays()))]
@@ -889,7 +850,7 @@ def supervised_bench(
             encoding=variant.encoding,
             num_frequencies=variant.num_frequencies,
         )
-        opt = OptimizerState.create(optimizer, model)
+        opt = OptimizerState.create(optimizer, model.param_arrays())
         rng = np.random.default_rng(seed)
         hit = None
         start = time.perf_counter()
@@ -909,7 +870,7 @@ def supervised_bench(
             resid = out.astype(np.float64) - y
             upstream = (2.0 / resid.size) * resid
             grads = backward(model, tape, upstream)
-            opt.step(model, grads, learning_rate)
+            opt.step(model.param_arrays(), grads.arrays(), learning_rate)
             epoch += 1
             if epoch % eval_every == 0 and dense_mse() < threshold:
                 hit = epoch

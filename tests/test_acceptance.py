@@ -70,7 +70,8 @@ def test_criterion_2_gradient_correctness(curved_mesh):
             model, curved_mesh, sphere, centers, thetas, weights, consts, side=side
         )
         assert batch.valid.all()
-        return float(batch.weighted_totals(weights).sum())
+        return float(weights.total(batch.strain, batch.bend, batch.gravity,
+                                   batch.collision).sum())
 
     h = 1e-5
     worst = 0.0  # |fd - grad| scaled by the allowance max(1e-4*|fd|, 1e-8)

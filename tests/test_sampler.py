@@ -177,10 +177,20 @@ class TestSampleBatch:
         assert len(pts) == 10
 
 
+DOMAINS = ((0.0, 1.0, 0.0, 1.0), (-1.0, 3.0, 2.0, 2.5))
+
+
+def domain_bounds(domain):
+    xmin, xmax, ymin, ymax = domain
+    return np.array([xmin, ymin]), np.array([xmax, ymax])
+
+
 class TestLloyd:
     def test_single_point_moves_to_center(self):
-        out = lloyd_relax(np.array([[0.17, 0.93]]), 1)
-        assert np.allclose(out, [[0.5, 0.5]], atol=1e-9)
+        for domain in DOMAINS:
+            lo, hi = domain_bounds(domain)
+            out = lloyd_relax(lo + np.array([[0.17, 0.93]]) * (hi - lo), 1, domain)
+            assert np.allclose(out, [(lo + hi) / 2], atol=1e-9), domain
 
     def test_mirror_symmetry_preserved(self):
         pts = np.array([[0.3, 0.4], [0.7, 0.4], [0.3, 0.8], [0.7, 0.8], [0.5, 0.1]])
@@ -204,10 +214,11 @@ class TestLloyd:
         assert np.all(diffs <= 1e-9), energy
 
     def test_points_stay_in_domain(self):
-        rng = np.random.default_rng(13)
-        pts = rng.random((80, 2))
-        out = lloyd_relax(pts, 4)
-        assert out.min() >= 0.0 and out.max() <= 1.0
+        for domain in DOMAINS:
+            lo, hi = domain_bounds(domain)
+            pts = lo + np.random.default_rng(13).random((80, 2)) * (hi - lo)
+            out = lloyd_relax(pts, 4, domain)
+            assert np.all(out >= lo) and np.all(out <= hi), domain
 
     def test_duplicates_are_separated(self):
         pts = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [0.2, 0.8]])

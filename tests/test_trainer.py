@@ -62,20 +62,17 @@ class TestOptimizer:
         # L = theta^2 so the gradient is 2*theta and one step multiplies
         # theta by (1 - 2*alpha)
         theta = np.array([0.8])
-        holder_p = theta
-        model = type("M", (), {"param_arrays": lambda self: [holder_p]})()
-        grads = type("G", (), {"arrays": lambda self: [2.0 * holder_p]})()
         alpha = 0.05
-        OptimizerState.create("sgd", model).step(model, grads, alpha)
+        OptimizerState.create("sgd", [theta]).step([theta], [2.0 * theta], alpha)
         assert theta[0] == pytest.approx(0.8 * (1 - 2 * alpha), rel=1e-12)
 
     def test_adam_zero_gradient_is_noop(self):
         model = init_model(EncoderConfig((5, 3), 3), [6, 8, 8, 8, 3], seed=0)
         before = [a.copy() for a in model.param_arrays()]
-        opt = OptimizerState.create("adam", model)
+        opt = OptimizerState.create("adam", model.param_arrays())
         from drapefit.surface import GradientBuffer
 
-        opt.step(model, GradientBuffer.zeros_like(model), 0.1)
+        opt.step(model.param_arrays(), GradientBuffer.zeros_like(model).arrays(), 0.1)
         for a, b in zip(model.param_arrays(), before):
             assert np.array_equal(a, b)
 
@@ -91,7 +88,9 @@ class TestOptimizer:
         grads = backward(model, tape, 2.0 * out)
         before = [a.copy() for a in model.param_arrays()]
         alpha = 1e-3
-        OptimizerState.create("sgd", model).step(model, grads, alpha)
+        OptimizerState.create("sgd", model.param_arrays()).step(
+            model.param_arrays(), grads.arrays(), alpha
+        )
         dot = sum(
             float(((a - b) * g).sum())
             for a, b, g in zip(model.param_arrays(), before, grads.arrays())
@@ -311,6 +310,11 @@ class TestMeshConnectivity:
         assert np.all(result.positions[:, 2] < 0)
         totals = [row["total"] for row in result.history]
         assert np.all(np.diff(totals) < 0)
+
+    def test_diverging_baseline_raises_non_finite_loss(self):
+        config = tiny_config(epochs=4, learning_rate=1e300)
+        with pytest.raises(NonFiniteLoss):
+            mesh_connectivity_baseline(square_cloth(12), None, config, variant="model")
 
     def test_topology_helpers(self):
         mesh = square_cloth(4)
