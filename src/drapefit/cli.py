@@ -31,7 +31,6 @@ def _add_common(sub):
     sub.add_argument("--config", help="run configuration file")
     sub.add_argument("--seed", type=int, help="override the config seed")
     sub.add_argument("--out", help="override the output directory")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads (atlas rasterization)")
 
 
 def _load_config(args) -> cfgmod.RunConfig:
@@ -239,6 +238,7 @@ def build_parser() -> _Parser:
     p.add_argument("--garment", required=True, help="garment OBJ with UVs")
     p.add_argument("--resolution", type=int, default=1024)
     p.add_argument("--png", action="store_true", help="also dump a debug PNG")
+    p.add_argument("--threads", type=int, default=1, help="rasterization worker threads")
     _add_common(p)
     p.set_defaults(func=cmd_atlas)
 

@@ -213,23 +213,19 @@ def gravity_point_grad(ids, consts: PhysicsConstants, coeff, out):
 def collision_point_terms(positions, ids, collider: ColliderMesh, consts: PhysicsConstants):
     """Squared penetration past epsilon along nearest-vertex normals.
 
-    Returns (terms, nearest ids, signed margins) so the gradient pass can
-    reuse the same correspondences. Matches against vertices with a zero
-    normal (no incident face) are dropped.
+    Returns (terms, contact vertex ids, signed margins) so the gradient pass
+    can reuse the same correspondences; see ``ColliderMesh.contacts``. Points
+    without a contact have id -1 and margin 0, including matches against
+    vertices with a zero normal (no incident face).
     """
-    pts = positions[ids]
-    nn, _ = collider.index.nearest(pts)
-    n = collider.normals[nn]
-    usable = np.einsum("kd,kd->k", n, n) > 0.5
-    d = pts - collider.vertices[nn]
-    s = np.einsum("kd,kd->k", d, n) - consts.collision_epsilon
-    viol = np.where(usable & (s < 0.0), s, 0.0)
+    viol, nn = collider.contacts(positions[ids], consts.collision_epsilon)
     return viol**2, nn, viol
 
 
 def collision_point_grad(ids, nn, viol, collider: ColliderMesh, coeff, out):
-    g = (2.0 * coeff * viol)[:, None] * collider.normals[nn]
-    np.add.at(out, ids, g)
+    hit = nn >= 0
+    g = (2.0 * coeff * viol[hit])[:, None] * collider.normals[nn[hit]]
+    np.add.at(out, ids[hit], g)
 
 
 # ---------------------------------------------------------------------------

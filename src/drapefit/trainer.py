@@ -564,13 +564,8 @@ def evaluate_dense(
     penetration = 0.0
     if collider is not None and len(collider.vertices) > 0:
         center_pos = batch.positions.reshape(K, 7, 3)[:, 6, :]
-        nn, _ = collider.index.nearest(center_pos)
-        normals = collider.normals[nn]
-        usable = np.einsum("kd,kd->k", normals, normals) > 0.5
-        sign = np.einsum(
-            "kd,kd->k", center_pos - collider.vertices[nn], normals
-        )
-        penetration = float((usable & (sign < 0.0)).sum() / K)
+        viol, _ = collider.contacts(center_pos, 0.0)
+        penetration = float((viol < 0.0).sum() / K)
     mean_ratio = (
         float(np.sqrt(batch.strain_terms).mean())
         if batch.strain_terms is not None and len(batch.strain_terms)

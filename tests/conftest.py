@@ -3,6 +3,19 @@ import pytest
 
 from drapefit import GarmentRestMesh, square_cloth
 
+# Acceptance criteria 6 and 7 train full models and take most of the suite's
+# time; every other test takes seconds at most. Run those two last, so that a
+# failure anywhere else is reported before they start.
+_FULL_TRAININGS = (
+    "test_criterion_6a_loss_monotone_ema",
+    "test_criterion_6b_6c_penetration_and_strain",
+    "test_criterion_7_adaptive_vs_uniform",
+)
+
+
+def pytest_collection_modifyitems(items):
+    items.sort(key=lambda item: item.name in _FULL_TRAININGS)
+
 
 @pytest.fixture
 def planar_mesh():

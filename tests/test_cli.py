@@ -125,6 +125,15 @@ class TestAtlasCommand:
                    "--out", str(tmp_path)])
         assert rc == 0
 
+    def test_threads_is_an_atlas_flag_only(self, tmp_path, capsys):
+        path = tmp_path / "cloth.obj"
+        write_cloth_obj(path)
+        rc = main(["atlas", "--garment", str(path), "--resolution", "16",
+                   "--threads", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        assert main(["train", "--config", quick_run_config(tmp_path), "--threads", "2"]) == 1
+        assert "--threads" in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_end_to_end(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from drapefit import (
     ColliderMesh,
+    PhysicsConstants,
     build_index,
     compute_vertex_normals,
     icosphere,
@@ -11,6 +12,7 @@ from drapefit import (
     torus,
 )
 from drapefit.errors import DegenerateMesh, EmptyCollider
+from drapefit.losses import collision_point_grad, collision_point_terms
 
 
 def brute_force_nearest(vertices, q):
@@ -68,6 +70,18 @@ class TestNormals:
         verts = np.zeros((3, 3))
         with pytest.raises(DegenerateMesh):
             compute_vertex_normals(verts, np.array([[0, 1, 2]]))
+
+    @pytest.mark.parametrize("mesh", [icosphere(5), torus(), prism()], ids=["ico5", "torus", "prism"])
+    def test_equals_per_corner_scatter(self, mesh):
+        # the three per-corner scatters the bincount form replaced, in order
+        v, tris = mesh.vertices, mesh.triangles
+        acc = np.zeros_like(v)
+        face_n = np.cross(v[tris[:, 1]] - v[tris[:, 0]], v[tris[:, 2]] - v[tris[:, 0]])
+        for k in range(3):
+            np.add.at(acc, tris[:, k], face_n)
+        norms = np.linalg.norm(acc, axis=1)
+        acc /= norms[:, None]
+        assert compute_vertex_normals(v, tris).tobytes() == acc.tobytes()
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(8)
@@ -182,3 +196,200 @@ class TestShapes:
         assert np.allclose(back.vertices, mesh.vertices, atol=1e-8)
         assert np.array_equal(back.triangles, mesh.triangles)
         assert np.allclose(back.normals, mesh.normals, atol=1e-6)
+
+
+def reference_contacts(collider, pts, eps):
+    """Contact margins from the nearest-vertex search on every point."""
+    nn, _ = collider.index.nearest(pts)
+    n = collider.normals[nn]
+    usable = np.einsum("kd,kd->k", n, n) > 0.5
+    s = np.einsum("kd,kd->k", pts - collider.vertices[nn], n) - eps
+    hit = usable & (s < 0.0)
+    return np.where(hit, s, 0.0), np.where(hit, nn, -1)
+
+
+def with_loose_vertex():
+    """Icosphere plus an unreferenced vertex, whose normal is zero, sitting
+    just inside the surface where it is the nearest vertex of nearby points."""
+    sphere = icosphere(3, 0.3, (0.1, -0.2, 0.05))
+    loose = sphere.vertices[7] - 0.004 * sphere.normals[7]
+    mesh = ColliderMesh.from_arrays(np.vstack([sphere.vertices, loose]), sphere.triangles)
+    assert np.all(mesh.normals[-1] == 0)
+    return mesh
+
+
+DIAGONAL = np.ones(3) / np.sqrt(3.0)
+
+
+def tilted_plane(offset=0.013, flip=False):
+    """Flat grid {x : x.DIAGONAL = offset} around the diagonal axis. With a
+    voxel diagonal as its normal, the clearance bound of a voxel is attained
+    at the voxel's lowest corner, with no room to spare."""
+    u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    w = np.cross(DIAGONAL, u)
+    ij = np.stack(np.meshgrid(np.arange(25), np.arange(25), indexing="ij"), -1).reshape(-1, 2)
+    verts = 0.02 * ((ij[:, :1] - 12) * u + (ij[:, 1:] - 12) * w) + offset * DIAGONAL
+    a = (np.arange(24)[:, None] * 25 + np.arange(24)[None, :]).ravel()
+    tris = np.concatenate([np.stack([a, a + 25, a + 26], 1), np.stack([a, a + 26, a + 1], 1)])
+    return ColliderMesh.from_arrays(verts, tris[:, ::-1] if flip else tris)
+
+
+COLLIDERS = {
+    "icosphere": lambda: icosphere(3, 0.3, (0.5, 0.5, -0.31)),
+    "torus": lambda: torus(),
+    "prism": lambda: prism(),
+    "loose_vertex": with_loose_vertex,
+    "tilted_plane": tilted_plane,
+}
+EPSILONS = (1e-3, 0.0, 0.02)
+
+
+def probe_points(collider, eps, rng):
+    """Points inside, near and far from the collider, some on voxel faces."""
+    v, n = collider.vertices, collider.normals
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    mid, span = (lo + hi) / 2, hi - lo
+    # the collider's own voxel edge, so that some points sit on voxel faces
+    collider.contacts(mid[None, :], eps)
+    a = collider._clearance.size
+    h = 0.5 * np.sqrt(3.0) * a
+    ids = rng.integers(0, len(v), 3000)
+    near = (v[ids] + n[ids] * rng.uniform(eps - 2 * h, eps + 2 * h, (3000, 1))
+            + rng.uniform(-h, h, (3000, 3)))
+    inside = v[ids[:1000]] - n[ids[:1000]] * rng.uniform(0.0, 0.5, (1000, 1)) * span.min()
+    box = mid + span * rng.uniform(-0.7, 0.7, (3000, 3))
+    far = mid + span * rng.uniform(-8.0, 8.0, (1000, 3))
+    on_faces = np.round(near[:1500] / a) * a
+    one_face = near[1500:].copy()
+    one_face[:, 1] = np.round(one_face[:, 1] / a) * a
+    return np.vstack([near, inside, box, far, on_faces, one_face])
+
+
+def count_search_rows(monkeypatch, collider):
+    """Record the number of rows of every nearest-vertex search."""
+    rows = []
+    search = collider.index.nearest
+
+    def counting(points):
+        rows.append(len(points))
+        return search(points)
+
+    monkeypatch.setattr(collider.index, "nearest", counting)
+    return rows
+
+
+class TestContacts:
+    @pytest.mark.parametrize("name", sorted(COLLIDERS))
+    def test_culled_query_equals_full_search(self, name, monkeypatch):
+        rng = np.random.default_rng(21)
+        for eps in EPSILONS:
+            collider = COLLIDERS[name]()
+            pts = probe_points(collider, eps, rng)
+            want_viol, want_nn = reference_contacts(collider, pts, eps)
+            assert (want_viol < 0).sum() > 50  # the probe reaches contacts
+            rows = count_search_rows(monkeypatch, collider)
+            for _ in range(2):  # cold cache, then warm
+                viol, nn = collider.contacts(pts, eps)
+                assert viol.tobytes() == want_viol.tobytes()
+                assert np.array_equal(nn, want_nn)
+            assert rows[0] == rows[1] < 0.95 * len(pts)  # the probe reaches culls
+
+    @pytest.mark.parametrize("name", sorted(COLLIDERS))
+    def test_loss_terms_gradient_and_penetration_flags(self, name):
+        rng = np.random.default_rng(5)
+        collider = COLLIDERS[name]()
+        consts = PhysicsConstants()
+        eps = consts.collision_epsilon
+        pts = probe_points(collider, eps, rng)
+        ids = rng.permutation(len(pts))[: len(pts) // 2]
+        want_viol, _ = reference_contacts(collider, pts[ids], eps)
+        terms, nn, viol = collision_point_terms(pts, ids, collider, consts)
+        assert viol.tobytes() == want_viol.tobytes()
+        assert terms.tobytes() == (want_viol**2).tobytes()
+        # gradient as the full search gives it: every point scattered, the
+        # ones without a contact adding zero
+        full_nn, _ = collider.index.nearest(pts[ids])
+        want = np.zeros_like(pts)
+        np.add.at(want, ids, (2.0 * 3.0 * want_viol)[:, None] * collider.normals[full_nn])
+        got = np.zeros_like(pts)
+        collision_point_grad(ids, nn, viol, collider, 3.0, got)
+        assert got.tobytes() == want.tobytes()
+        pen_viol, _ = reference_contacts(collider, pts, 0.0)
+        assert np.array_equal(collider.contacts(pts, 0.0)[0] < 0, pen_viol < 0)
+
+    def test_points_clear_of_a_convex_collider_skip_the_search(self, monkeypatch):
+        collider = icosphere(3, 0.3)
+        rows = count_search_rows(monkeypatch, collider)
+        rng = np.random.default_rng(2)
+        direction = rng.normal(size=(500, 3))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        outside = direction * rng.uniform(1.0, 3.0, (500, 1))
+        viol, nn = collider.contacts(outside, 1e-3)
+        assert rows == [0]  # still called, with no rows
+        assert np.all(viol == 0) and np.all(nn == -1)
+        inside = direction * 0.1
+        viol, _ = collider.contacts(inside, 1e-3)
+        assert rows[-1] == 500 and np.all(viol < 0)
+
+    def test_unpackable_coordinates_take_the_exact_search(self, monkeypatch):
+        collider = icosphere(2, 0.3)
+        rows = count_search_rows(monkeypatch, collider)
+        huge = np.array([[1e7, 0.0, 0.0], [0.0, -1e60, 0.0], [2.0, 2.0, 1e100]])
+        viol, nn = collider.contacts(huge, 0.0)
+        assert rows == [3]
+        want_viol, want_nn = reference_contacts(collider, huge, 0.0)
+        assert viol.tobytes() == want_viol.tobytes() and np.array_equal(nn, want_nn)
+
+    def test_collider_without_faces_is_searched_exactly(self):
+        verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
+        normals = np.array([[0, 0, 1], [0, 0, 1], [0, 0, 0]], dtype=float)
+        collider = ColliderMesh.from_arrays(verts, np.zeros((0, 3)), normals)
+        pts = np.random.default_rng(4).uniform(-0.5, 1.5, (400, 3))
+        viol, nn = collider.contacts(pts, 0.0)
+        want_viol, want_nn = reference_contacts(collider, pts, 0.0)
+        assert (want_viol < 0).any()
+        assert viol.tobytes() == want_viol.tobytes() and np.array_equal(nn, want_nn)
+
+    def test_far_candidate_with_a_bad_normal_is_kept(self):
+        # c is the centre of voxel 0, whose lowest corner is the origin. Its
+        # nearest vertex w faces it from 2h away; v sits 3.9h away on the
+        # other side, facing away. v is the nearest vertex of the origin, in
+        # contact there, and only the full d(c) + 2h candidate radius sees it.
+        tri = np.array([[50.0, 50.0, 50.0], [50.1, 50.0, 50.0], [50.0, 50.1, 50.0]])
+        up = np.tile([0.0, 0.0, 1.0], (3, 1))
+        probe = ColliderMesh.from_arrays(tri, [[0, 1, 2]], up)
+        probe.contacts(np.zeros((1, 3)), 0.0)
+        a = probe._clearance.size  # set by the faces alone
+        e = np.ones(3) / np.sqrt(3.0)
+        c, h = 0.5 * a * np.ones(3), 0.5 * np.sqrt(3.0) * a
+        w, v = c + 2.0 * h * e, c - 3.9 * h * e
+        collider = ColliderMesh.from_arrays(
+            np.vstack([tri, w, v]), [[0, 1, 2]], np.vstack([up, -e, -e])
+        )
+        origin = np.zeros((1, 3))
+        viol, nn = collider.contacts(origin, 0.0)
+        assert nn[0] == 4 and viol[0] < 0
+        assert viol.tobytes() == reference_contacts(collider, origin, 0.0)[0].tobytes()
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["up", "down"])
+    def test_bound_is_tight_at_voxel_corners(self, flip):
+        # Voxel corners k * a with k1 + k2 + k3 = 15 lie on one plane normal
+        # to the diagonal. The collider plane sits 1e-10 * a past them, on
+        # their contact side. Facing up, the worst point of a voxel is its
+        # lowest corner; facing down, it is the highest, approached from
+        # inside the voxel below. Either way the voxel's bound is attained.
+        probe = tilted_plane()
+        probe.contacts(np.zeros((1, 3)), 0.0)
+        a = probe._clearance.size  # set by the grid spacing alone
+        sign = np.sign(tilted_plane(0.0, flip).normals[0] @ DIAGONAL)
+        collider = tilted_plane(15 * a / np.sqrt(3.0) + sign * 1e-10 * a, flip)
+        k = np.stack(np.meshgrid(*[np.arange(16)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        corners = k[k.sum(axis=1) == 15] * a
+        radial = corners - np.outer(corners @ DIAGONAL, DIAGONAL)
+        corners = corners[np.linalg.norm(radial, axis=1) < 0.15]
+        if sign < 0:
+            corners -= 2e-13 * a
+        want_viol, _ = reference_contacts(collider, corners, 0.0)
+        assert len(corners) > 10 and np.all(want_viol < 0)
+        viol, _ = collider.contacts(corners, 0.0)
+        assert viol.tobytes() == want_viol.tobytes()
