@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateMesh, EmptyCollider
+from .errors import DegenerateMesh, EmptyCollider, UnreachablePoint
 from .objio import ObjData, read_obj
 
 
@@ -68,18 +68,31 @@ class SpatialIndex:
         return len(self.vertices)
 
     def nearest(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest vertex id and Euclidean distance for each query point."""
+        """Nearest vertex id and Euclidean distance for each query point.
+
+        Raises ``UnreachablePoint`` for a point whose squared distance to
+        every vertex overflows, so that no vertex can be called nearest.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        k = min(2, len(self.vertices))
+        n = len(self.vertices)
+        k = min(2, n)
         dist, idx = self._tree.query(pts, k=k)
         if k == 1:
             idx = np.full(len(pts), 0, dtype=np.int64)
             d = np.linalg.norm(pts - self.vertices[0], axis=1)
             return idx, d
+        # the tree reports a neighbour it cannot reach by the index n
+        lost = idx[:, 0] == n
+        if lost.any():
+            raise UnreachablePoint(
+                f"point {pts[lost][0].tolist()} is too far from every collider vertex"
+            )
         # recompute distances with one fixed formula so ties are detected
         # consistently with the brute-force reference
         d0 = np.linalg.norm(pts - self.vertices[idx[:, 0]], axis=1)
-        d1 = np.linalg.norm(pts - self.vertices[idx[:, 1]], axis=1)
+        d1 = np.full(len(pts), np.inf)
+        two = idx[:, 1] < n
+        d1[two] = np.linalg.norm(pts[two] - self.vertices[idx[two, 1]], axis=1)
         best = idx[:, 0].astype(np.int64)
         swap = (d1 < d0) | ((d1 == d0) & (idx[:, 1] < idx[:, 0]))
         best[swap] = idx[swap, 1]

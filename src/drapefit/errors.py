@@ -45,6 +45,10 @@ class EmptyCollider(DrapefitError):
     """Collider has no vertices to match against."""
 
 
+class UnreachablePoint(DrapefitError):
+    """Finite query point whose squared distance to every collider vertex overflows."""
+
+
 class DegenerateMesh(DrapefitError):
     """Mesh has no usable (non-degenerate) faces."""
 

@@ -28,7 +28,7 @@ from .structures import (
     LocalStructure3D,
     structure_vertices,
 )
-from .surface import SurfaceModel, forward_batch
+from .surface import SurfaceModel, forward_batch, scatter_add_rows
 
 DEGENERATE_FACE_AREA = 1e-12  # m^2; smaller face pairs contribute no bending
 EDGE_SET_ALL = "all9"
@@ -145,8 +145,8 @@ def strain_edge_grad(positions, edges, rest_lengths, coeff, out, form: str = "re
         factor = 2.0 * (lengths - rest_lengths)
     factor = np.where(safe, factor / np.where(safe, lengths, 1.0), 0.0) * coeff
     g = factor[:, None] * d
-    np.add.at(out, edges[:, 0], g)
-    np.add.at(out, edges[:, 1], -g)
+    scatter_add_rows(out, edges[:, 0], g)
+    scatter_add_rows(out, edges[:, 1], -g)
 
 
 def _face_normals_raw(positions, faces):
@@ -181,8 +181,8 @@ def bend_pair_grad(positions, faces, pairs, coeff, out):
     # cotangent per unit normal: +2*diff to the first face, -2*diff to the second
     g_unit = np.zeros_like(unit)
     scale = np.where(ok_pair, 1.0, 0.0)[:, None] * coeff
-    np.add.at(g_unit, pairs[:, 0], 2.0 * diff * scale)
-    np.add.at(g_unit, pairs[:, 1], -2.0 * diff * scale)
+    scatter_add_rows(g_unit, pairs[:, 0], 2.0 * diff * scale)
+    scatter_add_rows(g_unit, pairs[:, 1], -2.0 * diff * scale)
 
     # through normalization: g_raw = (I - n n^T) g_unit / |raw|
     proj = np.einsum("fd,fd->f", unit, g_unit)
@@ -195,9 +195,9 @@ def bend_pair_grad(positions, faces, pairs, coeff, out):
     w = positions[c] - positions[a]
     g_u = np.cross(w, g_raw)
     g_w = np.cross(g_raw, u)
-    np.add.at(out, b, g_u)
-    np.add.at(out, c, g_w)
-    np.add.at(out, a, -(g_u + g_w))
+    scatter_add_rows(out, b, g_u)
+    scatter_add_rows(out, c, g_w)
+    scatter_add_rows(out, a, -(g_u + g_w))
 
 
 def gravity_point_terms(positions, ids, consts: PhysicsConstants):
@@ -207,7 +207,8 @@ def gravity_point_terms(positions, ids, consts: PhysicsConstants):
 
 
 def gravity_point_grad(ids, consts: PhysicsConstants, coeff, out):
-    out[ids] += coeff * consts.mass_per_point * consts.gravity * consts.axis_array
+    g = coeff * consts.mass_per_point * consts.gravity * consts.axis_array
+    scatter_add_rows(out, ids, g)
 
 
 def collision_point_terms(positions, ids, collider: ColliderMesh, consts: PhysicsConstants):
@@ -225,7 +226,7 @@ def collision_point_terms(positions, ids, collider: ColliderMesh, consts: Physic
 def collision_point_grad(ids, nn, viol, collider: ColliderMesh, coeff, out):
     hit = nn >= 0
     g = (2.0 * coeff * viol[hit])[:, None] * collider.normals[nn[hit]]
-    np.add.at(out, ids[hit], g)
+    scatter_add_rows(out, ids[hit], g)
 
 
 # ---------------------------------------------------------------------------

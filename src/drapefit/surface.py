@@ -328,12 +328,15 @@ def forward_batch(model: SurfaceModel, points, record_tape: bool = False):
     activations = []
     n_layers = len(model.mlp.weights)
     for k, (w, b) in enumerate(zip(model.mlp.weights, model.mlp.biases)):
-        z = a @ w + b
+        # bias and activation in place on the fresh matmul output
+        a = a @ w
+        a += b
         if k < n_layers - 1:
-            a = np.maximum(z, 0) if model.mlp.activation == "relu" else np.tanh(z)
+            if model.mlp.activation == "relu":
+                np.maximum(a, 0, out=a)
+            else:
+                np.tanh(a, out=a)
             activations.append(a)
-        else:
-            a = z
     tape = None
     if record_tape:
         tape = ForwardTape(pts, grid_idx, grid_w, x, activations)
@@ -349,6 +352,23 @@ def deform(model: SurfaceModel, p) -> np.ndarray:
 def surface_position(model: SurfaceModel, mesh: GarmentRestMesh, p) -> np.ndarray:
     """Deformed 3D position: rest position plus the model's displacement."""
     return rest_position(mesh, p) + deform(model, p)
+
+
+def scatter_add_rows(out: np.ndarray, rows, vals) -> None:
+    """Add ``vals[i]`` to row ``rows[i]`` of ``out`` for every index, repeats included.
+
+    The rows are those of ``out`` viewed as (-1, out.shape[-1]); ``vals`` has
+    shape ``rows.shape + (out.shape[-1],)`` or broadcasts to it. The result
+    equals ``np.add.at(out2d, rows, vals)`` bit for bit: each element receives
+    its additions in the same order and dtype. The scatter runs on flattened
+    element indices, numpy's fast one-dimensional ``ufunc.at`` path.
+    """
+    width = out.shape[-1]
+    flat = out.reshape(-1)  # a view when out is C-contiguous, else a copy
+    idx = rows[..., None] * width + np.arange(width)
+    np.add.at(flat, idx.ravel(), np.broadcast_to(vals, idx.shape).ravel())
+    if not out.flags.c_contiguous:
+        out[...] = flat.reshape(out.shape)
 
 
 @dataclass
@@ -413,24 +433,22 @@ def backward(
         a_prev = tape.x if k == 0 else tape.activations[k - 1]
         buf.weights[k] += a_prev.T @ g
         buf.biases[k] += g.sum(axis=0)
-        if k == 0:
-            g = g @ model.mlp.weights[k].T
-            break
         g = g @ model.mlp.weights[k].T
+        if k == 0:
+            break
+        # activation derivative in place on the fresh matmul output
         a_k = tape.activations[k - 1]
         if model.mlp.activation == "relu":
-            g = g * (a_k > 0)
+            g *= a_k > 0
         else:
-            g = g * (1.0 - a_k * a_k)
+            g *= 1.0 - a_k * a_k
     if model.encoding == ENCODING_MULTIGRID:
         col = 0
         for layer, idx, w, grad in zip(model.grids, tape.grid_idx, tape.grid_w, buf.grids):
             F = layer.feature_dim
             gx = g[:, col : col + F]
             col += F
-            flat = grad.reshape(-1, F)
-            contrib = w[:, :, None].astype(gx.dtype) * gx[:, None, :]
-            np.add.at(flat, idx, contrib)
+            scatter_add_rows(grad, idx, w[:, :, None].astype(gx.dtype) * gx[:, None, :])
     return buf
 
 

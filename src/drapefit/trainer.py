@@ -376,23 +376,30 @@ def epochs_to_convergence(totals, window: int, tol: float) -> int | None:
 # mesh-connectivity baselines
 
 
+def _edge_keys(tris: np.ndarray):
+    """Key lo * n + hi of each face's three edges (all first edges, then all
+    second, then all third) with n = max vertex id + 1; keys sort like the
+    (lo, hi) rows."""
+    n = int(tris.max(initial=-1)) + 1
+    ends = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    return ends.min(axis=1) * n + ends.max(axis=1), n
+
+
 def mesh_edges(triangles) -> np.ndarray:
     """Unique undirected edges of a triangulation, rows sorted ascending."""
-    tris = np.asarray(triangles, dtype=np.int64)
-    raw = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    raw = np.sort(raw, axis=1)
-    return np.unique(raw, axis=0)
+    keys, n = _edge_keys(np.asarray(triangles, dtype=np.int64))
+    keys = np.unique(keys)
+    return np.stack([keys // n, keys % n], axis=1)
 
 
 def adjacent_face_pairs(triangles) -> np.ndarray:
     """Pairs of face indices sharing an edge (interior edges only)."""
     tris = np.asarray(triangles, dtype=np.int64)
-    raw = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    raw = np.sort(raw, axis=1)
+    keys, _ = _edge_keys(tris)
     owner = np.tile(np.arange(len(tris)), 3)
-    order = np.lexsort((raw[:, 1], raw[:, 0]))
-    raw, owner = raw[order], owner[order]
-    same = np.all(raw[1:] == raw[:-1], axis=1)
+    order = np.argsort(keys, kind="stable")
+    keys, owner = keys[order], owner[order]
+    same = keys[1:] == keys[:-1]
     return np.stack([owner[:-1][same], owner[1:][same]], axis=1)
 
 
@@ -420,6 +427,8 @@ class MeshGraph:
 
 
 def _mesh_losses(positions, graph, collider, weights, consts, strain_form, want_grad):
+    if not np.isfinite(positions).all():
+        raise NonFiniteLoss("mesh positions are not finite")
     sums = {}
     dpos = np.zeros_like(positions) if want_grad else None
     sums["strain"] = strain_edge_terms(

@@ -11,7 +11,7 @@ from drapefit import (
     prism,
     torus,
 )
-from drapefit.errors import DegenerateMesh, EmptyCollider
+from drapefit.errors import DegenerateMesh, EmptyCollider, UnreachablePoint
 from drapefit.losses import collision_point_grad, collision_point_terms
 
 
@@ -141,6 +141,23 @@ class TestIndex:
     def test_empty_collider(self):
         with pytest.raises(EmptyCollider):
             build_index(np.zeros((0, 3)))
+
+    def test_point_beyond_squared_distance_overflow_is_unreachable(self):
+        sphere = icosphere(2, 0.3)
+        far = np.array([[1e300, 0.0, 0.0]])
+        with pytest.raises(UnreachablePoint):
+            sphere.index.nearest(far)
+        with pytest.raises(UnreachablePoint):
+            sphere.contacts(far, 1e-3)
+        # squared distances of 1e300 still fit: every vertex ties at 1e150
+        ids, dists = sphere.index.nearest([[1e150, 0.0, 0.0]])
+        assert (ids[0], dists[0]) == brute_force_nearest(sphere.vertices, [1e150, 0.0, 0.0])
+
+    def test_unreachable_second_neighbour_keeps_the_first(self):
+        index = build_index(np.array([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]]))
+        ids, dists = index.nearest([[1.0, 0.0, 0.0], [1e150, 0.0, 0.0]])
+        assert ids.tolist() == [0, 0]
+        assert dists.tolist() == [1.0, 1e150]
 
 
 class TestShapes:

@@ -13,13 +13,24 @@ from drapefit import (
     icosphere,
     init_model,
     lift_structure,
+    square_cloth,
     strain_loss,
     strain_loss_absolute,
     structure_loss,
 )
 from drapefit.errors import InvalidStructure, InvalidUvPoint, ZeroRestLength
-from drapefit.losses import LossDiagnostics, structure_validity
-from drapefit.structures import EDGES, FACES, LocalStructure3D
+from drapefit.losses import (
+    STRIDE,
+    LossDiagnostics,
+    bend_pair_grad,
+    collision_point_grad,
+    collision_point_terms,
+    gravity_point_grad,
+    strain_edge_grad,
+    structure_validity,
+)
+from drapefit.structures import EDGES, FACE_PAIRS, FACES, LocalStructure3D
+from drapefit.trainer import MeshGraph
 
 
 def flat_patch(side=0.1):
@@ -358,3 +369,70 @@ class TestBatchConsistency:
             LossWeights(), PhysicsConstants(), side=0.02,
         )
         assert np.array_equal(valid, batch.valid)
+
+
+def _patch_layout(K=6, seed=0):
+    """Index arrays of K sampling patches in the batch path's block layout."""
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform([0.3, 0.3, -0.02], [0.7, 0.7, 0.02], (K * STRIDE, 3))
+    offs = STRIDE * np.arange(K)[:, None, None]
+    edges = (EDGES[None] + offs).reshape(-1, 2)
+    faces = (FACES[None] + offs).reshape(-1, 3)
+    pairs = (FACE_PAIRS[None] + 4 * np.arange(K)[:, None, None]).reshape(-1, 2)
+    centers = STRIDE * np.arange(K) + 6
+    verts = (STRIDE * np.arange(K)[:, None] + np.arange(6)).reshape(-1)
+    return positions, edges, faces, pairs, centers, verts
+
+
+def _mesh_layout(seed=0):
+    """Index arrays of the mesh-connectivity path on square_cloth(12)."""
+    mesh = square_cloth(12)
+    graph = MeshGraph.build(mesh)
+    rng = np.random.default_rng(seed)
+    positions = mesh.vertices + rng.normal(0, 0.01, mesh.vertices.shape)
+    ids = np.arange(len(positions))
+    return positions, graph.edges, graph.faces, graph.pairs, ids, ids
+
+
+class TestScatterKernelsAreExact:
+    """Each gradient kernel adds the same values in the same order as its
+    former 2-D ``np.add.at`` form (the fancy-index ``+=`` for gravity), so
+    the results agree bit for bit, on top of nonzero accumulators."""
+
+    @staticmethod
+    def _run_both(monkeypatch, reference, kernel, positions):
+        import drapefit.losses
+
+        start = np.random.default_rng(99).normal(0, 1, positions.shape)
+        fast = start.copy()
+        kernel(fast)
+        monkeypatch.setattr(drapefit.losses, "scatter_add_rows", reference)
+        slow = start.copy()
+        kernel(slow)
+        assert not np.array_equal(fast, start)
+        assert fast.tobytes() == slow.tobytes()
+
+    @pytest.mark.parametrize("layout", [_patch_layout, _mesh_layout])
+    def test_kernels_match_the_former_scatters(self, monkeypatch, layout):
+        positions, edges, faces, pairs, centers, verts = layout()
+        rest = np.linalg.norm(positions[edges[:, 0]] - positions[edges[:, 1]], axis=1)
+        rest *= np.random.default_rng(5).uniform(0.8, 1.2, len(rest))
+        consts = PhysicsConstants(collision_epsilon=0.01)
+        sphere = icosphere(2, 0.3, (0.5, 0.5, -0.29))
+        _, nn, viol = collision_point_terms(positions, verts, sphere, consts)
+        assert (nn >= 0).any() and (nn < 0).any()
+
+        def fancy(out, rows, vals):
+            out[rows] += vals
+
+        cases = [
+            (np.add.at, lambda out: strain_edge_grad(positions, edges, rest, 0.7, out)),
+            (np.add.at,
+             lambda out: strain_edge_grad(positions, edges, rest, 0.7, out, "absolute")),
+            (np.add.at, lambda out: bend_pair_grad(positions, faces, pairs, 0.3, out)),
+            (fancy, lambda out: gravity_point_grad(centers, consts, 2.0, out)),
+            (np.add.at, lambda out: collision_point_grad(verts, nn, viol, sphere, 5.0, out)),
+        ]
+        for reference, kernel in cases:
+            with monkeypatch.context() as m:
+                self._run_both(m, reference, kernel, positions)

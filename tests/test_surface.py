@@ -415,3 +415,86 @@ class TestCheckpoint:
         (tmp_path / "junk.ckpt").write_bytes(b"something else entirely\n")
         with pytest.raises(FormatVersionMismatch):
             load_checkpoint(tmp_path / "junk.ckpt")
+
+
+def reference_backward(model, tape, upstream, buf):
+    """Out-of-place MLP backward, then the grid scatter one (point, corner)
+    row at a time in batch order: the arithmetic ``backward`` reproduces."""
+    g = np.asarray(upstream).astype(model.dtype)
+    for k in range(len(model.mlp.weights) - 1, -1, -1):
+        a_prev = tape.x if k == 0 else tape.activations[k - 1]
+        buf.weights[k] += a_prev.T @ g
+        buf.biases[k] += g.sum(axis=0)
+        g = g @ model.mlp.weights[k].T
+        if k > 0:
+            a_k = tape.activations[k - 1]
+            g = g * (a_k > 0) if model.mlp.activation == "relu" else g * (1.0 - a_k * a_k)
+    col = 0
+    for layer, idx, w, grad in zip(model.grids, tape.grid_idx, tape.grid_w, buf.grids):
+        F = layer.feature_dim
+        gx = g[:, col : col + F]
+        col += F
+        contrib = w[:, :, None].astype(gx.dtype) * gx[:, None, :]
+        flat = grad.reshape(-1, F)
+        for row, val in zip(idx.reshape(-1), contrib.reshape(-1, F)):
+            flat[row] += val
+    return buf
+
+
+class TestExactPasses:
+    """The in-place MLP passes and the flattened grid scatter change no bit."""
+
+    @staticmethod
+    def _model(dtype, activation):
+        model = init_model(EncoderConfig((5, 3), 3), [6, 8, 8, 8, 3], seed=3,
+                           activation=activation, dtype=dtype)
+        rng = np.random.default_rng(17)
+        for a in model.param_arrays():
+            a += rng.normal(0, 0.3, a.shape).astype(a.dtype)
+        return model
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_equals_out_of_place_layers(self, dtype, activation):
+        model = self._model(dtype, activation)
+        out, tape = forward_batch(model, np.random.default_rng(1).random((64, 2)),
+                                  record_tape=True)
+        a = tape.x
+        for k, (w, b) in enumerate(zip(model.mlp.weights, model.mlp.biases)):
+            z = a @ w + b
+            if k < len(model.mlp.weights) - 1:
+                a = np.maximum(z, 0) if activation == "relu" else np.tanh(z)
+                assert a.tobytes() == tape.activations[k].tobytes()
+            else:
+                a = z
+        assert out.dtype == dtype and a.tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_equals_per_row_reference(self, dtype, activation):
+        model = self._model(dtype, activation)
+        rng = np.random.default_rng(2)
+        # 64 points on 5x5 and 3x3 grids: every node row repeats many times
+        _, tape = forward_batch(model, rng.random((64, 2)), record_tape=True)
+        up = rng.normal(0, 1, (64, 3))
+        for prefill in (0.0, 1.0):
+            got, want = GradientBuffer.zeros_like(model), GradientBuffer.zeros_like(model)
+            for a, b in zip(got.arrays(), want.arrays()):
+                a += prefill * rng.normal(0, 1, a.shape).astype(a.dtype)
+                b[...] = a
+            backward(model, tape, up, buf=got)
+            reference_backward(model, tape, up, want)
+            for a, b in zip(got.arrays(), want.arrays()):
+                assert a.dtype == dtype and a.tobytes() == b.tobytes()
+
+    def test_row_scatter_writes_through_a_non_contiguous_target(self):
+        from drapefit.surface import scatter_add_rows
+
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, 5, (40, 2))
+        vals = rng.normal(0, 1, (40, 2, 3))
+        out = np.asfortranarray(rng.normal(0, 1, (5, 3)))
+        want = np.ascontiguousarray(out)
+        np.add.at(want, rows, vals)
+        scatter_add_rows(out, rows, vals)
+        assert out.tobytes(order="C") == want.tobytes()

@@ -17,6 +17,7 @@ from drapefit import (
     mesh_connectivity_baseline,
     square_cloth,
     supervised_bench,
+    torus,
     train,
     train_epoch,
 )
@@ -24,6 +25,7 @@ from drapefit.errors import AllPointsInvalid, BudgetMismatch, ConfigError, NonFi
 from drapefit.surface import backward, forward_batch
 from drapefit.trainer import (
     BenchVariant,
+    MeshGraph,
     OptimizerState,
     adjacent_face_pairs,
     epochs_to_convergence,
@@ -31,6 +33,7 @@ from drapefit.trainer import (
     mesh_edges,
     save_train_state,
     sine_wave_target,
+    _mesh_losses,
 )
 
 
@@ -315,6 +318,74 @@ class TestMeshConnectivity:
         config = tiny_config(epochs=4, learning_rate=1e300)
         with pytest.raises(NonFiniteLoss):
             mesh_connectivity_baseline(square_cloth(12), None, config, variant="model")
+
+    def test_diverging_baseline_with_collider_raises_non_finite_loss(self):
+        # the contact search must not see the non-finite positions first
+        config = tiny_config(epochs=4, learning_rate=1e300)
+        sphere = icosphere(1, 0.3, (0.5, 0.5, -0.31))
+        with pytest.raises(NonFiniteLoss):
+            mesh_connectivity_baseline(square_cloth(12), sphere, config, variant="model")
+
+    @pytest.mark.parametrize("case", ["cloth4", "cloth33", "torus", "shuffled"])
+    def test_topology_helpers_match_row_sorts(self, case):
+        tris = {
+            "cloth4": lambda: square_cloth(4).triangles,
+            "cloth33": lambda: square_cloth(33).triangles,
+            "torus": lambda: torus().triangles,
+            "shuffled": lambda: np.random.default_rng(3).permutation(
+                np.roll(square_cloth(9).triangles, 1, axis=1)
+            ),
+        }[case]()
+        raw = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+        raw = np.sort(raw, axis=1)
+        edges = mesh_edges(tris)
+        assert edges.dtype == np.int64
+        assert np.array_equal(edges, np.unique(raw, axis=0))
+        order = np.lexsort((raw[:, 1], raw[:, 0]))
+        owner = np.tile(np.arange(len(tris)), 3)[order]
+        same = np.all(raw[order][1:] == raw[order][:-1], axis=1)
+        want = np.stack([owner[:-1][same], owner[1:][same]], axis=1)
+        assert np.array_equal(adjacent_face_pairs(tris), want)
+
+    def test_mesh_gradients_match_finite_differences(self, curved_mesh):
+        # each term alone and the weighted sum, over every vertex coordinate
+        graph = MeshGraph.build(curved_mesh)
+        rng = np.random.default_rng(11)
+        positions = curved_mesh.vertices + rng.normal(0, 0.01, curved_mesh.vertices.shape)
+        sphere = icosphere(2, 0.3, (0.5, 0.5, -0.22))
+        consts = PhysicsConstants(collision_epsilon=0.01)
+        h = 1e-6
+        # some vertices penetrate, and none is within 10h of the s = 0 kink or
+        # of a change of its nearest collider vertex
+        dist, near = sphere.index._tree.query(positions, k=2)
+        s = np.einsum(
+            "kd,kd->k", positions - sphere.vertices[near[:, 0]], sphere.normals[near[:, 0]]
+        ) - consts.collision_epsilon
+        assert (s < 0).sum() >= 4 and np.abs(s).min() > 10 * h
+        assert (dist[:, 1] - dist[:, 0]).min() > 10 * h
+
+        def total(pos, weights):
+            sums, _ = _mesh_losses(pos, graph, sphere, weights, consts, "relative", False)
+            return weights.total(**sums)
+
+        for weights in (
+            LossWeights(1.0, 0, 0, 0),
+            LossWeights(0, 1.0, 0, 0),
+            LossWeights(0, 0, 1.0, 0),
+            LossWeights(0, 0, 0, 5.0),
+            LossWeights(1.3, 0.7, 2.1, 5.0),
+        ):
+            _, grad = _mesh_losses(
+                positions, graph, sphere, weights, consts, "relative", True
+            )
+            assert np.any(grad != 0)
+            fd = np.zeros_like(positions)
+            for k in np.ndindex(positions.shape):
+                up, dn = positions.copy(), positions.copy()
+                up[k] += h
+                dn[k] -= h
+                fd[k] = (total(up, weights) - total(dn, weights)) / (2 * h)
+            assert np.all(np.abs(fd - grad) <= np.maximum(1e-4 * np.abs(fd), 1e-8)), weights
 
     def test_topology_helpers(self):
         mesh = square_cloth(4)
