@@ -40,6 +40,7 @@ from .restatlas import (
     rest_length,
     rest_position,
     square_cloth,
+    square_cloth_with_hole,
 )
 from .sampler import (
     DiscretePdf,

@@ -25,6 +25,7 @@ from scipy.spatial import cKDTree
 
 from .errors import DegenerateMesh, EmptyCollider, UnreachablePoint
 from .objio import ObjData, read_obj
+from .rows import gather_rows
 
 
 def compute_vertex_normals(vertices, triangles) -> np.ndarray:
@@ -89,10 +90,10 @@ class SpatialIndex:
             )
         # recompute distances with one fixed formula so ties are detected
         # consistently with the brute-force reference
-        d0 = np.linalg.norm(pts - self.vertices[idx[:, 0]], axis=1)
+        d0 = np.linalg.norm(pts - gather_rows(self.vertices, idx[:, 0]), axis=1)
         d1 = np.full(len(pts), np.inf)
         two = idx[:, 1] < n
-        d1[two] = np.linalg.norm(pts[two] - self.vertices[idx[two, 1]], axis=1)
+        d1[two] = np.linalg.norm(pts[two] - gather_rows(self.vertices, idx[two, 1]), axis=1)
         best = idx[:, 0].astype(np.int64)
         swap = (d1 < d0) | ((d1 == d0) & (idx[:, 1] < idx[:, 0]))
         best[swap] = idx[swap, 1]
@@ -232,9 +233,13 @@ class ColliderMesh:
         if self._clearance is None:
             self._clearance = _VoxelClearance(self)
         rest = np.flatnonzero(~(self._clearance.lookup(pts) > epsilon))
-        sub = pts[rest]
+        sub = gather_rows(pts, rest)
         near, _ = self.index.nearest(sub)
-        s = np.einsum("kd,kd->k", sub - self.vertices[near], self.normals[near]) - epsilon
+        s = np.einsum(
+            "kd,kd->k",
+            sub - gather_rows(self.vertices, near),
+            gather_rows(self.normals, near),
+        ) - epsilon
         hit = self._clearance.usable[near] & (s < 0.0)
         viol = np.zeros(len(pts))
         nn = np.full(len(pts), -1, dtype=np.int64)

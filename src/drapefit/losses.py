@@ -28,7 +28,8 @@ from .structures import (
     LocalStructure3D,
     structure_vertices,
 )
-from .surface import SurfaceModel, forward_batch, scatter_add_rows
+from .rows import gather_rows, scatter_add_rows
+from .surface import SurfaceModel, forward_batch
 
 DEGENERATE_FACE_AREA = 1e-12  # m^2; smaller face pairs contribute no bending
 EDGE_SET_ALL = "all9"
@@ -121,7 +122,7 @@ def _structure_edges(edge_set: str) -> np.ndarray:
 
 def strain_edge_terms(positions, edges, rest_lengths, form: str = "relative"):
     """Per-edge strain energy terms; ``form`` is 'relative' or 'absolute'."""
-    d = positions[edges[:, 0]] - positions[edges[:, 1]]
+    d = gather_rows(positions, edges[:, 0]) - gather_rows(positions, edges[:, 1])
     lengths = np.linalg.norm(d, axis=1)
     if form == "relative":
         if np.any(rest_lengths <= 0):
@@ -134,7 +135,7 @@ def strain_edge_terms(positions, edges, rest_lengths, form: str = "relative"):
 
 def strain_edge_grad(positions, edges, rest_lengths, coeff, out, form: str = "relative"):
     """Accumulate coeff * d(strain terms)/d(positions) into ``out``."""
-    d = positions[edges[:, 0]] - positions[edges[:, 1]]
+    d = gather_rows(positions, edges[:, 0]) - gather_rows(positions, edges[:, 1])
     lengths = np.linalg.norm(d, axis=1)
     safe = lengths > 0
     if form == "relative":
@@ -150,8 +151,10 @@ def strain_edge_grad(positions, edges, rest_lengths, coeff, out, form: str = "re
 
 
 def _face_normals_raw(positions, faces):
-    a = positions[faces[:, 0]]
-    return np.cross(positions[faces[:, 1]] - a, positions[faces[:, 2]] - a)
+    a = gather_rows(positions, faces[:, 0])
+    return np.cross(
+        gather_rows(positions, faces[:, 1]) - a, gather_rows(positions, faces[:, 2]) - a
+    )
 
 
 def bend_pair_terms(positions, faces, pairs, diagnostics: LossDiagnostics | None = None):
@@ -161,7 +164,7 @@ def bend_pair_terms(positions, faces, pairs, diagnostics: LossDiagnostics | None
     ok_face = norms > 2.0 * DEGENERATE_FACE_AREA  # |cross| = 2 * area
     unit = np.where(ok_face[:, None], raw / np.where(ok_face, norms, 1.0)[:, None], 0.0)
     ok_pair = ok_face[pairs[:, 0]] & ok_face[pairs[:, 1]]
-    diff = unit[pairs[:, 0]] - unit[pairs[:, 1]]
+    diff = gather_rows(unit, pairs[:, 0]) - gather_rows(unit, pairs[:, 1])
     terms = np.where(ok_pair, np.einsum("pd,pd->p", diff, diff), 0.0)
     if diagnostics is not None:
         diagnostics.degenerate_face_pairs += int((~ok_pair).sum())
@@ -176,7 +179,7 @@ def bend_pair_grad(positions, faces, pairs, coeff, out):
     safe = np.where(ok_face, norms, 1.0)
     unit = np.where(ok_face[:, None], raw / safe[:, None], 0.0)
     ok_pair = ok_face[pairs[:, 0]] & ok_face[pairs[:, 1]]
-    diff = unit[pairs[:, 0]] - unit[pairs[:, 1]]      # (P, 3)
+    diff = gather_rows(unit, pairs[:, 0]) - gather_rows(unit, pairs[:, 1])  # (P, 3)
 
     # cotangent per unit normal: +2*diff to the first face, -2*diff to the second
     g_unit = np.zeros_like(unit)
@@ -191,8 +194,9 @@ def bend_pair_grad(positions, faces, pairs, coeff, out):
 
     # through the cross product raw = u x w with u = b - a, w = c - a
     a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
-    u = positions[b] - positions[a]
-    w = positions[c] - positions[a]
+    pa = gather_rows(positions, a)
+    u = gather_rows(positions, b) - pa
+    w = gather_rows(positions, c) - pa
     g_u = np.cross(w, g_raw)
     g_w = np.cross(g_raw, u)
     scatter_add_rows(out, b, g_u)
@@ -202,7 +206,7 @@ def bend_pair_grad(positions, faces, pairs, coeff, out):
 
 def gravity_point_terms(positions, ids, consts: PhysicsConstants):
     """Potential energy m*g*h per point, h measured along the gravity axis."""
-    h = positions[ids] @ consts.axis_array
+    h = gather_rows(positions, ids) @ consts.axis_array
     return consts.mass_per_point * consts.gravity * h
 
 
@@ -219,13 +223,13 @@ def collision_point_terms(positions, ids, collider: ColliderMesh, consts: Physic
     without a contact have id -1 and margin 0, including matches against
     vertices with a zero normal (no incident face).
     """
-    viol, nn = collider.contacts(positions[ids], consts.collision_epsilon)
+    viol, nn = collider.contacts(gather_rows(positions, ids), consts.collision_epsilon)
     return viol**2, nn, viol
 
 
 def collision_point_grad(ids, nn, viol, collider: ColliderMesh, coeff, out):
     hit = nn >= 0
-    g = (2.0 * coeff * viol[hit])[:, None] * collider.normals[nn[hit]]
+    g = (2.0 * coeff * viol[hit])[:, None] * gather_rows(collider.normals, nn[hit])
     scatter_add_rows(out, ids[hit], g)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTriangle, InvalidUvPoint
+from .rows import gather_rows
 
 AREA_EPS = 1e-12          # |signed area| at or below this is degenerate
 CONTAINMENT_TOL = -1e-9   # barycentric coordinates may undershoot by this much
@@ -150,13 +151,14 @@ def _any_interior_overlap(uvs, triangles) -> bool:
 class TriangleLocator:
     """Point-in-triangulation queries over the garment's UV layout.
 
-    Triangles are binned by UV bounding box into a uniform grid; a query
-    gathers candidates from its bin and tests barycentric containment with
-    tolerance -1e-9. Ties at shared edges resolve to the lowest triangle
-    index, so results are deterministic.
+    Triangles are binned by UV bounding box into a uniform grid of
+    min(256, sqrt(triangle count)) cells per side; a query gathers
+    candidates from its bin and tests barycentric containment with tolerance
+    -1e-9. Ties at shared edges resolve to the lowest triangle index, so
+    results are deterministic.
     """
 
-    def __init__(self, mesh: GarmentRestMesh, bins: int | None = None):
+    def __init__(self, mesh: GarmentRestMesh):
         self.mesh = mesh
         tris = mesh.triangles
         uv = mesh.uvs
@@ -171,7 +173,7 @@ class TriangleLocator:
         self._rest = mesh.vertices[tris]          # (m, 3, 3)
 
         m = len(tris)
-        self.bins = bins or max(1, min(256, int(np.sqrt(max(m, 1)))))
+        self.bins = max(1, min(256, int(np.sqrt(max(m, 1)))))
         g = self.bins
         tri_uv = uv[tris]
         lo = np.clip((tri_uv.min(axis=1) * g).astype(np.int64), 0, g - 1)
@@ -219,10 +221,10 @@ class TriangleLocator:
         cand_tri = self._cell_tris[np.repeat(starts, lengths) + local]
         cand_pt = np.repeat(idx, lengths)
 
-        ap = pts[cand_pt] - self._a[cand_tri]
-        inv = self._inv_denom[cand_tri]
-        ab = self._ab[cand_tri]
-        ac = self._ac[cand_tri]
+        ap = gather_rows(pts, cand_pt) - gather_rows(self._a, cand_tri)
+        inv = gather_rows(self._inv_denom, cand_tri)
+        ab = gather_rows(self._ab, cand_tri)
+        ac = gather_rows(self._ac, cand_tri)
         l2 = (ap[:, 0] * ac[:, 1] - ap[:, 1] * ac[:, 0]) * inv
         l3 = (ab[:, 0] * ap[:, 1] - ab[:, 1] * ap[:, 0]) * inv
         l1 = 1.0 - l2 - l3
@@ -231,9 +233,12 @@ class TriangleLocator:
             return tri_out, lam_out
         # candidates are grouped by point with triangle index ascending, so the
         # first hit per point realizes the lowest-index tie rule
-        hit_pts = cand_pt[hit]
-        first_pts, first_at = np.unique(hit_pts, return_index=True)
-        sel = np.flatnonzero(hit)[first_at]
+        sel = np.flatnonzero(hit)
+        hit_pts = cand_pt[sel]
+        first = np.ones(len(sel), dtype=bool)
+        first[1:] = hit_pts[1:] != hit_pts[:-1]
+        sel = sel[first]
+        first_pts = hit_pts[first]
         tri_out[first_pts] = cand_tri[sel]
         lam_out[first_pts, 0] = l1[sel]
         lam_out[first_pts, 1] = l2[sel]
@@ -245,10 +250,10 @@ class TriangleLocator:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         tri, lam = self.locate(pts)
         valid = tri >= 0
-        out = np.zeros((len(pts), 3), dtype=np.float64)
-        if valid.any():
-            corners = self._rest[tri[valid]]               # (k, 3, 3)
-            out[valid] = np.einsum("kc,kcd->kd", lam[valid], corners)
+        # an invalid row has tri -1 and lam 0: it reads the last triangle's
+        # corners, and its blend (NaN if a corner is not finite) is reset to +0
+        out = np.einsum("kc,kcd->kd", lam, gather_rows(self._rest, tri))
+        out[~valid] = 0.0
         return out, valid
 
 
@@ -400,3 +405,23 @@ def square_cloth(resolution: int, name: str = "square-cloth") -> GarmentRestMesh
             tris.append([a, b, d])
             tris.append([a, d, c])
     return GarmentRestMesh(vertices, uvs, np.asarray(tris, dtype=np.int64), name=name)
+
+
+def square_cloth_with_hole(resolution: int) -> GarmentRestMesh:
+    """``square_cloth`` with a square hole in the middle of its UV layout.
+
+    The triangles whose centroid lies inside (1/4, 3/4)^2 are deleted, and
+    with them the vertices no remaining triangle uses. When 4 divides
+    ``resolution - 1`` the hole is exactly [1/4, 3/4]^2.
+    """
+    if resolution < 5:
+        raise ValueError("holed cloth resolution must be >= 5")
+    base = square_cloth(resolution)
+    centroids = base.uvs[base.triangles].mean(axis=1)
+    keep = ~np.all((centroids > 0.25) & (centroids < 0.75), axis=1)
+    used = np.zeros(len(base.uvs), dtype=bool)
+    used[base.triangles[keep]] = True
+    renumber = np.cumsum(used) - 1
+    return GarmentRestMesh(
+        base.vertices[used], base.uvs[used], renumber[base.triangles[keep]], name="holed-cloth"
+    )

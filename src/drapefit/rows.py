@@ -1,0 +1,41 @@
+"""Row gathers and row scatters: the one implementation of each on every hot path.
+
+Both helpers work on rows (axis 0) and give the same bits as their
+fancy-index forms ``a[rows]`` and ``np.add.at(out, rows, vals)``, through
+numpy paths that are several times faster on multi-dimensional arrays.
+"""
+
+import numpy as np
+
+
+def gather_rows(a: np.ndarray, rows) -> np.ndarray:
+    """Rows ``a[rows]`` along axis 0 for an integer index array of any shape.
+
+    A gather is a copy, so the result equals ``a[rows]`` bit for bit.
+    Negative indices count from the end and out-of-range ones raise
+    ``IndexError``, as with fancy indexing. The gather runs through
+    ``np.take``, which on arrays of two or more dimensions is several times
+    faster than fancy indexing. A non-integer index raises ``TypeError``,
+    because ``take`` would read a bool mask as row numbers 0 and 1.
+    """
+    rows = np.asarray(rows)
+    if rows.dtype.kind not in "iu":
+        raise TypeError(f"row indices must be integers, not {rows.dtype}")
+    return np.take(a, rows, axis=0)
+
+
+def scatter_add_rows(out: np.ndarray, rows, vals) -> None:
+    """Add ``vals[i]`` to row ``rows[i]`` of ``out`` for every index, repeats included.
+
+    The rows are those of ``out`` viewed as (-1, out.shape[-1]); ``vals`` has
+    shape ``rows.shape + (out.shape[-1],)`` or broadcasts to it. The result
+    equals ``np.add.at(out2d, rows, vals)`` bit for bit: each element receives
+    its additions in the same order and dtype. The scatter runs on flattened
+    element indices, numpy's fast one-dimensional ``ufunc.at`` path.
+    """
+    width = out.shape[-1]
+    flat = out.reshape(-1)  # a view when out is C-contiguous, else a copy
+    idx = rows[..., None] * width + np.arange(width)
+    np.add.at(flat, idx.ravel(), np.broadcast_to(vals, idx.shape).ravel())
+    if not out.flags.c_contiguous:
+        out[...] = flat.reshape(out.shape)

@@ -20,6 +20,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .restatlas import GarmentRestMesh, rest_position
+from .rows import gather_rows, scatter_add_rows
 
 DOMAIN_TOL = 1e-12
 CHECKPOINT_MAGIC = "drapefit-surface"
@@ -248,7 +249,7 @@ def _bilinear_setup(resolution: int, pts: np.ndarray):
 def _bilinear_batch(layer: GridLayer, pts: np.ndarray):
     idx, w = _bilinear_setup(layer.resolution, pts)
     flat = layer.features.reshape(-1, layer.feature_dim)
-    vals = np.einsum("bk,bkf->bf", w.astype(flat.dtype), flat[idx])
+    vals = np.einsum("bk,bkf->bf", w.astype(flat.dtype), gather_rows(flat, idx))
     return vals, idx, w
 
 
@@ -354,23 +355,6 @@ def surface_position(model: SurfaceModel, mesh: GarmentRestMesh, p) -> np.ndarra
     return rest_position(mesh, p) + deform(model, p)
 
 
-def scatter_add_rows(out: np.ndarray, rows, vals) -> None:
-    """Add ``vals[i]`` to row ``rows[i]`` of ``out`` for every index, repeats included.
-
-    The rows are those of ``out`` viewed as (-1, out.shape[-1]); ``vals`` has
-    shape ``rows.shape + (out.shape[-1],)`` or broadcasts to it. The result
-    equals ``np.add.at(out2d, rows, vals)`` bit for bit: each element receives
-    its additions in the same order and dtype. The scatter runs on flattened
-    element indices, numpy's fast one-dimensional ``ufunc.at`` path.
-    """
-    width = out.shape[-1]
-    flat = out.reshape(-1)  # a view when out is C-contiguous, else a copy
-    idx = rows[..., None] * width + np.arange(width)
-    np.add.at(flat, idx.ravel(), np.broadcast_to(vals, idx.shape).ravel())
-    if not out.flags.c_contiguous:
-        out[...] = flat.reshape(out.shape)
-
-
 @dataclass
 class GradientBuffer:
     """Parameter-shaped accumulator for reverse-mode gradients."""
@@ -433,9 +417,9 @@ def backward(
         a_prev = tape.x if k == 0 else tape.activations[k - 1]
         buf.weights[k] += a_prev.T @ g
         buf.biases[k] += g.sum(axis=0)
-        g = g @ model.mlp.weights[k].T
         if k == 0:
             break
+        g = g @ model.mlp.weights[k].T
         # activation derivative in place on the fresh matmul output
         a_k = tape.activations[k - 1]
         if model.mlp.activation == "relu":
@@ -443,6 +427,8 @@ def backward(
         else:
             g *= 1.0 - a_k * a_k
     if model.encoding == ENCODING_MULTIGRID:
+        # only the grid layers read the MLP input's cotangent
+        g = g @ model.mlp.weights[0].T
         col = 0
         for layer, idx, w, grad in zip(model.grids, tape.grid_idx, tape.grid_w, buf.grids):
             F = layer.feature_dim

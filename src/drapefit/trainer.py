@@ -36,6 +36,7 @@ from .losses import (
     structure_validity,
 )
 from .restatlas import GarmentRestMesh
+from .rows import gather_rows
 from .sampler import (
     THETA_MAX,
     DiscretePdf,
@@ -416,7 +417,8 @@ class MeshGraph:
     def build(cls, mesh: GarmentRestMesh) -> "MeshGraph":
         edges = mesh_edges(mesh.triangles)
         rest = np.linalg.norm(
-            mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1
+            gather_rows(mesh.vertices, edges[:, 0]) - gather_rows(mesh.vertices, edges[:, 1]),
+            axis=1,
         )
         return cls(
             edges=edges,

@@ -410,3 +410,18 @@ class TestContacts:
         assert len(corners) > 10 and np.all(want_viol < 0)
         viol, _ = collider.contacts(corners, 0.0)
         assert viol.tobytes() == want_viol.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(COLLIDERS))
+    def test_row_gathers_equal_the_fancy_index_form(self, name, monkeypatch):
+        import drapefit.collider
+
+        eps = 1e-3
+        pts = probe_points(COLLIDERS[name](), eps, np.random.default_rng(31))
+        results = []
+        for gather in (drapefit.collider.gather_rows, lambda a, rows: a[rows]):
+            monkeypatch.setattr(drapefit.collider, "gather_rows", gather)
+            collider = COLLIDERS[name]()
+            results.append(collider.contacts(pts, eps) + collider.index.nearest(pts))
+        assert (results[0][1] >= 0).any()
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

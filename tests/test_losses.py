@@ -14,6 +14,7 @@ from drapefit import (
     init_model,
     lift_structure,
     square_cloth,
+    square_cloth_with_hole,
     strain_loss,
     strain_loss_absolute,
     structure_loss,
@@ -23,10 +24,13 @@ from drapefit.losses import (
     STRIDE,
     LossDiagnostics,
     bend_pair_grad,
+    bend_pair_terms,
     collision_point_grad,
     collision_point_terms,
     gravity_point_grad,
+    gravity_point_terms,
     strain_edge_grad,
+    strain_edge_terms,
     structure_validity,
 )
 from drapefit.structures import EDGES, FACE_PAIRS, FACES, LocalStructure3D
@@ -436,3 +440,54 @@ class TestScatterKernelsAreExact:
         for reference, kernel in cases:
             with monkeypatch.context() as m:
                 self._run_both(m, reference, kernel, positions)
+
+
+class TestGatherKernelsAreExact:
+    """Each loss kernel reads its rows through ``gather_rows``; with fancy
+    indexing in its place every term and gradient is the same bit for bit."""
+
+    @pytest.mark.parametrize("layout", [_patch_layout, _mesh_layout])
+    def test_kernels_match_the_fancy_index_form(self, monkeypatch, layout):
+        import drapefit.losses
+
+        positions, edges, faces, pairs, centers, verts = layout()
+        rest = np.linalg.norm(positions[edges[:, 0]] - positions[edges[:, 1]], axis=1)
+        rest *= np.random.default_rng(5).uniform(0.8, 1.2, len(rest))
+        consts = PhysicsConstants(collision_epsilon=0.01)
+        sphere = icosphere(2, 0.3, (0.5, 0.5, -0.29))
+
+        def run_all():
+            collision = collision_point_terms(positions, verts, sphere, consts)
+            _, nn, viol = collision
+            assert (nn >= 0).any() and (nn < 0).any()
+            out = [
+                strain_edge_terms(positions, edges, rest),
+                strain_edge_terms(positions, edges, rest, "absolute"),
+                bend_pair_terms(positions, faces, pairs),
+                gravity_point_terms(positions, centers, consts),
+                *collision,
+            ]
+            start = np.random.default_rng(99).normal(0, 1, positions.shape)
+            for grad in (
+                lambda g: strain_edge_grad(positions, edges, rest, 0.7, g),
+                lambda g: strain_edge_grad(positions, edges, rest, 0.7, g, "absolute"),
+                lambda g: bend_pair_grad(positions, faces, pairs, 0.3, g),
+                lambda g: collision_point_grad(verts, nn, viol, sphere, 5.0, g),
+            ):
+                g = start.copy()
+                grad(g)
+                out.append(g)
+            return out
+
+        fast = run_all()
+        monkeypatch.setattr(drapefit.losses, "gather_rows", lambda a, rows: a[rows])
+        for got, want in zip(fast, run_all()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_mesh_graph_rest_lengths_match_the_fancy_index_form(self, monkeypatch):
+        import drapefit.trainer
+
+        mesh = square_cloth_with_hole(12)
+        got = MeshGraph.build(mesh).rest_lengths
+        monkeypatch.setattr(drapefit.trainer, "gather_rows", lambda a, rows: a[rows])
+        assert got.tobytes() == MeshGraph.build(mesh).rest_lengths.tobytes()

@@ -10,6 +10,7 @@ from drapefit import (
     rest_length,
     rest_position,
     square_cloth,
+    square_cloth_with_hole,
 )
 from drapefit.errors import DegenerateTriangle, InvalidUvPoint
 from drapefit.restatlas import dump_atlas_png
@@ -104,6 +105,133 @@ class TestLocate:
                 expect = brute_force_locate(mesh, pts[k])
                 got = int(tri[k]) if tri[k] >= 0 else None
                 assert got == expect, (pts[k], got, expect)
+
+
+def former_locate(loc, points):
+    """The locator's former arithmetic: fancy-index gathers, and ``np.unique``
+    to pick each point's first hit."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    tri_out = np.full(len(pts), -1, dtype=np.int64)
+    lam_out = np.zeros((len(pts), 3), dtype=np.float64)
+    g = loc.bins
+    inside = np.all((pts >= 0.0) & (pts <= 1.0), axis=1) & np.all(np.isfinite(pts), axis=1)
+    idx = np.flatnonzero(inside)
+    cx = np.clip((pts[idx, 0] * g).astype(np.int64), 0, g - 1)
+    cy = np.clip((pts[idx, 1] * g).astype(np.int64), 0, g - 1)
+    starts = loc._cell_start[cy * g + cx]
+    lengths = loc._cell_end[cy * g + cx] - starts
+    ends = np.cumsum(lengths)
+    local = np.arange(lengths.sum()) - np.repeat(ends - lengths, lengths)
+    cand_tri = loc._cell_tris[np.repeat(starts, lengths) + local]
+    cand_pt = np.repeat(idx, lengths)
+    ap = pts[cand_pt] - loc._a[cand_tri]
+    inv = loc._inv_denom[cand_tri]
+    ab = loc._ab[cand_tri]
+    ac = loc._ac[cand_tri]
+    l2 = (ap[:, 0] * ac[:, 1] - ap[:, 1] * ac[:, 0]) * inv
+    l3 = (ab[:, 0] * ap[:, 1] - ab[:, 1] * ap[:, 0]) * inv
+    l1 = 1.0 - l2 - l3
+    hit = (l1 >= -1e-9) & (l2 >= -1e-9) & (l3 >= -1e-9)
+    first_pts, first_at = np.unique(cand_pt[hit], return_index=True)
+    sel = np.flatnonzero(hit)[first_at]
+    tri_out[first_pts] = cand_tri[sel]
+    lam_out[first_pts] = np.stack([l1[sel], l2[sel], l3[sel]], axis=1)
+    return tri_out, lam_out
+
+
+def former_rest_positions(loc, points):
+    """Rest positions by the former masked fancy-index path for every batch."""
+    tri, lam = former_locate(loc, points)
+    valid = tri >= 0
+    out = np.zeros((len(tri), 3), dtype=np.float64)
+    out[valid] = np.einsum("kc,kcd->kd", lam[valid], loc._rest[tri[valid]])
+    return out, valid
+
+
+def query_points(mesh, seed=0):
+    """Random points over and around the unit square, every mesh vertex and
+    edge midpoint (shared by several triangles), outside and non-finite
+    points, shuffled together."""
+    rng = np.random.default_rng(seed)
+    tri_uv = mesh.uvs[mesh.triangles]
+    pts = np.concatenate([
+        rng.uniform(-0.05, 1.05, (3000, 2)),
+        mesh.uvs,
+        0.5 * (tri_uv + np.roll(tri_uv, 1, axis=1)).reshape(-1, 2),
+        [[1.5, 0.2], [-0.1, 0.5], [np.nan, 0.5], [0.5, np.inf], [-np.inf, np.nan]],
+    ])
+    return pts[rng.permutation(len(pts))]
+
+
+class TestLookupIsExact:
+    """Row gathers and the first-hit scan reproduce the former lookup bit for bit."""
+
+    @pytest.mark.parametrize("name", ["curved", "square", "holed", "infinite"])
+    def test_equals_the_former_lookup(self, curved_mesh, name):
+        holed = square_cloth_with_hole(33)
+        far = holed.vertices.copy()
+        far[holed.triangles[-1, 0], 0] = np.inf
+        mesh = {
+            "curved": curved_mesh,
+            "square": square_cloth(33),
+            "holed": holed,
+            # invalid points read the last triangle, whose zero-weight blend is NaN here
+            "infinite": GarmentRestMesh(far, holed.uvs, holed.triangles),
+        }[name]
+        loc = mesh.locator()
+        pts = query_points(mesh)
+        for got, want in zip(loc.locate(pts), former_locate(loc, pts)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        pos, valid = loc.rest_positions(pts)
+        want_pos, want_valid = former_rest_positions(loc, pts)
+        assert not valid.all() and valid.any()
+        assert np.array_equal(valid, want_valid) and pos.tobytes() == want_pos.tobytes()
+        # and a batch of valid points only
+        inner = pts[valid]
+        pos, valid = loc.rest_positions(inner)
+        want_pos, _ = former_rest_positions(loc, inner)
+        assert valid.all() and pos.tobytes() == want_pos.tobytes()
+
+    def test_vertex_and_edge_ties_resolve_to_the_lowest_triangle(self):
+        mesh = square_cloth(33)
+        pts = query_points(mesh)[:400]
+        tri, _ = mesh.locator().locate(pts)
+        for p, t in zip(pts, tri):
+            got = int(t) if t >= 0 else None
+            assert got == brute_force_locate(mesh, p), p
+
+    def test_empty_batch(self, curved_mesh):
+        loc = curved_mesh.locator()
+        tri, lam = loc.locate(np.empty((0, 2)))
+        pos, valid = loc.rest_positions(np.empty((0, 2)))
+        assert tri.shape == (0,) and lam.shape == (0, 3)
+        assert pos.shape == (0, 3) and valid.shape == (0,)
+
+
+class TestHoledCloth:
+    def test_hole_is_outside_the_garment(self):
+        mesh = square_cloth_with_hole(9)
+        mesh.validate()
+        assert len(mesh.triangles) == 2 * 8 * 8 - 2 * 4 * 4
+        # every vertex is used; none lies strictly inside the hole
+        assert np.array_equal(np.unique(mesh.triangles), np.arange(len(mesh.uvs)))
+        assert not np.all((mesh.uvs > 0.25) & (mesh.uvs < 0.75), axis=1).any()
+        pts = np.array([[0.5, 0.5], [0.3, 0.7], [0.74, 0.26], [0.25, 0.5], [0.1, 0.9]])
+        tri, _ = mesh.locator().locate(pts)
+        assert np.array_equal(tri < 0, [True, True, True, False, False])
+        for p, t in zip(pts, tri):
+            assert (int(t) if t >= 0 else None) == brute_force_locate(mesh, p)
+        with pytest.raises(InvalidUvPoint):
+            rest_position(mesh, (0.5, 0.5))
+
+    def test_atlas_mask_has_the_hole(self):
+        atlas = build_atlas(square_cloth_with_hole(9), resolution=8)
+        assert np.array_equal(atlas.mask[2:6, 2:6], np.zeros((4, 4), dtype=bool))
+        assert atlas.valid_fraction() == pytest.approx(0.75)
+
+    def test_resolution_too_small(self):
+        with pytest.raises(ValueError):
+            square_cloth_with_hole(4)
 
 
 class TestRestPosition:

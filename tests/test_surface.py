@@ -23,6 +23,7 @@ from drapefit.errors import (
     OutOfDomain,
     ShapeMismatch,
 )
+from drapefit.rows import gather_rows
 from drapefit.surface import ENCODING_IDENTITY, ENCODING_POSITIONAL
 
 
@@ -445,9 +446,14 @@ class TestExactPasses:
     """The in-place MLP passes and the flattened grid scatter change no bit."""
 
     @staticmethod
-    def _model(dtype, activation):
-        model = init_model(EncoderConfig((5, 3), 3), [6, 8, 8, 8, 3], seed=3,
-                           activation=activation, dtype=dtype)
+    def _model(dtype, activation, encoding="multigrid"):
+        if encoding == "multigrid":
+            model = init_model(EncoderConfig((5, 3), 3), [6, 8, 8, 8, 3], seed=3,
+                               activation=activation, dtype=dtype)
+        else:
+            width = 2 if encoding == ENCODING_IDENTITY else 2 + 4 * 3
+            model = init_model(None, [width, 8, 8, 8, 3], seed=3, activation=activation,
+                               dtype=dtype, encoding=encoding, num_frequencies=3)
         rng = np.random.default_rng(17)
         for a in model.param_arrays():
             a += rng.normal(0, 0.3, a.shape).astype(a.dtype)
@@ -469,10 +475,13 @@ class TestExactPasses:
                 a = z
         assert out.dtype == dtype and a.tobytes() == out.tobytes()
 
+    @pytest.mark.parametrize("encoding", ["multigrid", ENCODING_IDENTITY, ENCODING_POSITIONAL])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_backward_equals_per_row_reference(self, dtype, activation):
-        model = self._model(dtype, activation)
+    def test_backward_equals_per_row_reference(self, dtype, activation, encoding):
+        # the reference also forms the first layer's input cotangent, which
+        # only the grid encoding reads
+        model = self._model(dtype, activation, encoding)
         rng = np.random.default_rng(2)
         # 64 points on 5x5 and 3x3 grids: every node row repeats many times
         _, tape = forward_batch(model, rng.random((64, 2)), record_tape=True)
@@ -498,3 +507,52 @@ class TestExactPasses:
         np.add.at(want, rows, vals)
         scatter_add_rows(out, rows, vals)
         assert out.tobytes(order="C") == want.tobytes()
+
+
+class TestGatherRows:
+    """``gather_rows`` copies exactly the rows that fancy indexing copies."""
+
+    @pytest.mark.parametrize("shape", [(50,), (50, 1), (50, 2), (50, 3), (50, 7), (50, 3, 3)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_fancy_indexing(self, shape, dtype):
+        rng = np.random.default_rng(8)
+        base = rng.normal(0, 1, shape).astype(dtype)
+        index_sets = (
+            rng.integers(-50, 50, 200),           # negative indices and repeats
+            rng.integers(-50, 50, (40, 4)),
+            np.array([3, 3, -1, 0, -50, 49]),
+            rng.integers(0, 50, 30).astype(np.int32),
+            rng.integers(0, 50, 30).astype(np.uint16),
+            np.zeros(0, dtype=np.int64),
+        )
+        # a strided view and a Fortran-ordered copy take the same rows
+        for a in (base, np.asfortranarray(base), base[::-1]):
+            for rows in index_sets:
+                got, want = gather_rows(a, rows), a[rows]
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_rejects_non_integer_indices(self):
+        a = np.arange(12.0).reshape(4, 3)
+        for rows in (np.array([True, False, True, False]), np.array([0.0, 1.0])):
+            with pytest.raises(TypeError):
+                gather_rows(a, rows)
+
+    def test_out_of_range_raises(self):
+        a = np.arange(12.0).reshape(4, 3)
+        for rows in ([4], [-5], [[0, 1], [2, 7]]):
+            with pytest.raises(IndexError):
+                gather_rows(a, np.array(rows))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bilinear_batch_equals_the_fancy_index_form(self, monkeypatch, dtype):
+        import drapefit.surface
+
+        layer = small_model(dtype=dtype).grids[0]
+        pts = np.random.default_rng(6).random((300, 2))
+        pts[:4] = [[0.0, 0.0], [1.0, 1.0], [0.5, 0.25], [1.0, 0.0]]
+        got = drapefit.surface._bilinear_batch(layer, pts)
+        monkeypatch.setattr(drapefit.surface, "gather_rows", lambda a, rows: a[rows])
+        want = drapefit.surface._bilinear_batch(layer, pts)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

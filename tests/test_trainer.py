@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from drapefit import (
+    DiscretePdf,
     EncoderConfig,
     LossWeights,
     PhysicsConstants,
@@ -16,6 +17,7 @@ from drapefit import (
     init_model,
     mesh_connectivity_baseline,
     square_cloth,
+    square_cloth_with_hole,
     supervised_bench,
     torus,
     train,
@@ -167,6 +169,40 @@ class TestTrainEpoch:
         state.model.mlp.biases[-1][:] = np.inf
         with pytest.raises(NonFiniteLoss):
             train_epoch(state, config, mesh, sphere)
+
+    def test_patches_in_a_hole_are_resampled(self, monkeypatch):
+        import drapefit.trainer
+
+        invalid = []
+        validity = drapefit.trainer.structure_validity
+
+        def counting(*args, **kwargs):
+            valid = validity(*args, **kwargs)
+            invalid.append(int((~valid).sum()))
+            return valid
+
+        monkeypatch.setattr(drapefit.trainer, "structure_validity", counting)
+        config = tiny_config(max_resample=10)
+        state = TrainState.fresh(config)
+        train_epoch(state, config, square_cloth_with_hole(9), None)
+        # the first draw lands some patches in the hole; resampling replaces them
+        assert invalid[0] > 0 and len(invalid) > 1 and invalid[-1] == 0
+        assert state.history[-1]["n_points"] == config.sampler.n_points
+
+    def test_batch_inside_a_hole_is_all_invalid(self):
+        # all adaptive draws from PDF cells inside the hole, no Lloyd moves,
+        # no resampling
+        config = tiny_config(
+            max_resample=0,
+            sampler=SamplerConfig(n_points=12, pdf_rows=4, pdf_cols=4, lloyd_iterations=0,
+                                  mu=1.0, gamma=1.0),
+        )
+        state = TrainState.fresh(config)
+        probs = np.zeros((4, 4))
+        probs[1:3, 1:3] = 0.25
+        state.pdf = DiscretePdf(probs)
+        with pytest.raises(AllPointsInvalid):
+            train_epoch(state, config, square_cloth_with_hole(9), None)
 
     def test_border_points_resampled_not_fatal(self):
         # a garment covering a thin UV strip forces constant resampling
