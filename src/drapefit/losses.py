@@ -1,10 +1,12 @@
 """Physics losses over sampling patches: strain, bend, gravity, collision.
 
-Every loss comes in two flavors sharing one kernel: a value over index
-arrays (edges, face pairs, point ids) and an analytic gradient with respect
-to the 3D positions. The kernels serve three callers: spec-level scalar
-operations on a single patch, the batched training path (many patches with
-block strides), and the mesh-connectivity baselines (one big mesh graph).
+Every loss rule is one kernel over index arrays (edges, face pairs, point
+ids). It returns the per-element terms and, given ``coeff`` and ``out``,
+adds ``coeff * d(terms)/d(positions)`` into ``out`` from the same
+intermediates; with ``out=None`` or ``coeff == 0`` it computes the terms
+only. The kernels serve three callers: spec-level scalar operations on a
+single patch, the batched training path (many patches with block strides),
+and the mesh-connectivity baselines (one big mesh graph).
 """
 
 from dataclasses import dataclass, field
@@ -120,66 +122,52 @@ def _structure_edges(edge_set: str) -> np.ndarray:
 # kernels over index arrays
 
 
-def strain_edge_terms(positions, edges, rest_lengths, form: str = "relative"):
+def strain_edge_terms(
+    positions, edges, rest_lengths, form: str = "relative", *, coeff=0.0, out=None
+):
     """Per-edge strain energy terms; ``form`` is 'relative' or 'absolute'."""
     d = gather_rows(positions, edges[:, 0]) - gather_rows(positions, edges[:, 1])
     lengths = np.linalg.norm(d, axis=1)
+    stretch = lengths - rest_lengths
     if form == "relative":
         if np.any(rest_lengths <= 0):
             raise ZeroRestLength("relative strain needs positive rest lengths")
-        return ((lengths - rest_lengths) / rest_lengths) ** 2
-    if form == "absolute":
-        return (lengths - rest_lengths) ** 2
-    raise ValueError(f"unknown strain form {form!r}")
-
-
-def strain_edge_grad(positions, edges, rest_lengths, coeff, out, form: str = "relative"):
-    """Accumulate coeff * d(strain terms)/d(positions) into ``out``."""
-    d = gather_rows(positions, edges[:, 0]) - gather_rows(positions, edges[:, 1])
-    lengths = np.linalg.norm(d, axis=1)
-    safe = lengths > 0
-    if form == "relative":
-        if np.any(rest_lengths <= 0):
-            raise ZeroRestLength("relative strain needs positive rest lengths")
-        factor = 2.0 * (lengths - rest_lengths) / rest_lengths**2
+        terms = (stretch / rest_lengths) ** 2
+    elif form == "absolute":
+        terms = stretch**2
     else:
-        factor = 2.0 * (lengths - rest_lengths)
-    factor = np.where(safe, factor / np.where(safe, lengths, 1.0), 0.0) * coeff
-    g = factor[:, None] * d
-    scatter_add_rows(out, edges[:, 0], g)
-    scatter_add_rows(out, edges[:, 1], -g)
-
-
-def _face_normals_raw(positions, faces):
-    a = gather_rows(positions, faces[:, 0])
-    return np.cross(
-        gather_rows(positions, faces[:, 1]) - a, gather_rows(positions, faces[:, 2]) - a
-    )
-
-
-def bend_pair_terms(positions, faces, pairs, diagnostics: LossDiagnostics | None = None):
-    """Per-face-pair squared difference of unit normals; degenerate pairs give 0."""
-    raw = _face_normals_raw(positions, faces)
-    norms = np.linalg.norm(raw, axis=1)
-    ok_face = norms > 2.0 * DEGENERATE_FACE_AREA  # |cross| = 2 * area
-    unit = np.where(ok_face[:, None], raw / np.where(ok_face, norms, 1.0)[:, None], 0.0)
-    ok_pair = ok_face[pairs[:, 0]] & ok_face[pairs[:, 1]]
-    diff = gather_rows(unit, pairs[:, 0]) - gather_rows(unit, pairs[:, 1])
-    terms = np.where(ok_pair, np.einsum("pd,pd->p", diff, diff), 0.0)
-    if diagnostics is not None:
-        diagnostics.degenerate_face_pairs += int((~ok_pair).sum())
+        raise ValueError(f"unknown strain form {form!r}")
+    if out is not None and coeff != 0:
+        # d(term)/d(length), then along the edge's unit vector
+        factor = 2.0 * stretch / rest_lengths**2 if form == "relative" else 2.0 * stretch
+        safe = lengths > 0
+        factor = np.where(safe, factor / np.where(safe, lengths, 1.0), 0.0) * coeff
+        g = factor[:, None] * d
+        scatter_add_rows(out, edges[:, 0], g)
+        scatter_add_rows(out, edges[:, 1], -g)
     return terms
 
 
-def bend_pair_grad(positions, faces, pairs, coeff, out):
-    """Accumulate coeff * d(bend terms)/d(positions) into ``out``."""
-    raw = _face_normals_raw(positions, faces)
+def bend_pair_terms(
+    positions, faces, pairs, diagnostics: LossDiagnostics | None = None, *, coeff=0.0, out=None
+):
+    """Per-face-pair squared difference of unit normals; degenerate pairs give 0."""
+    a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
+    pa = gather_rows(positions, a)
+    u = gather_rows(positions, b) - pa
+    w = gather_rows(positions, c) - pa
+    raw = np.cross(u, w)
     norms = np.linalg.norm(raw, axis=1)
-    ok_face = norms > 2.0 * DEGENERATE_FACE_AREA
+    ok_face = norms > 2.0 * DEGENERATE_FACE_AREA  # |cross| = 2 * area
     safe = np.where(ok_face, norms, 1.0)
     unit = np.where(ok_face[:, None], raw / safe[:, None], 0.0)
     ok_pair = ok_face[pairs[:, 0]] & ok_face[pairs[:, 1]]
     diff = gather_rows(unit, pairs[:, 0]) - gather_rows(unit, pairs[:, 1])  # (P, 3)
+    terms = np.where(ok_pair, np.einsum("pd,pd->p", diff, diff), 0.0)
+    if diagnostics is not None:
+        diagnostics.degenerate_face_pairs += int((~ok_pair).sum())
+    if out is None or coeff == 0:
+        return terms
 
     # cotangent per unit normal: +2*diff to the first face, -2*diff to the second
     g_unit = np.zeros_like(unit)
@@ -192,45 +180,63 @@ def bend_pair_grad(positions, faces, pairs, coeff, out):
     g_raw = (g_unit - unit * proj[:, None]) / safe[:, None]
     g_raw = np.where(ok_face[:, None], g_raw, 0.0)
 
-    # through the cross product raw = u x w with u = b - a, w = c - a
-    a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
-    pa = gather_rows(positions, a)
-    u = gather_rows(positions, b) - pa
-    w = gather_rows(positions, c) - pa
+    # through the cross product raw = u x w
     g_u = np.cross(w, g_raw)
     g_w = np.cross(g_raw, u)
     scatter_add_rows(out, b, g_u)
     scatter_add_rows(out, c, g_w)
     scatter_add_rows(out, a, -(g_u + g_w))
+    return terms
 
 
-def gravity_point_terms(positions, ids, consts: PhysicsConstants):
+def gravity_point_terms(positions, ids, consts: PhysicsConstants, *, coeff=0.0, out=None):
     """Potential energy m*g*h per point, h measured along the gravity axis."""
     h = gather_rows(positions, ids) @ consts.axis_array
+    if out is not None and coeff != 0:
+        g = coeff * consts.mass_per_point * consts.gravity * consts.axis_array
+        scatter_add_rows(out, ids, g)
     return consts.mass_per_point * consts.gravity * h
 
 
-def gravity_point_grad(ids, consts: PhysicsConstants, coeff, out):
-    g = coeff * consts.mass_per_point * consts.gravity * consts.axis_array
-    scatter_add_rows(out, ids, g)
-
-
-def collision_point_terms(positions, ids, collider: ColliderMesh, consts: PhysicsConstants):
+def collision_point_terms(
+    positions, ids, collider: ColliderMesh, consts: PhysicsConstants, *, coeff=0.0, out=None
+):
     """Squared penetration past epsilon along nearest-vertex normals.
 
-    Returns (terms, contact vertex ids, signed margins) so the gradient pass
-    can reuse the same correspondences; see ``ColliderMesh.contacts``. Points
-    without a contact have id -1 and margin 0, including matches against
-    vertices with a zero normal (no incident face).
+    Points without a contact (see ``ColliderMesh.contacts``) give 0 and no
+    gradient, including matches against vertices with a zero normal (no
+    incident face).
     """
     viol, nn = collider.contacts(gather_rows(positions, ids), consts.collision_epsilon)
-    return viol**2, nn, viol
+    if out is not None and coeff != 0:
+        hit = nn >= 0
+        g = (2.0 * coeff * viol[hit])[:, None] * gather_rows(collider.normals, nn[hit])
+        scatter_add_rows(out, ids[hit], g)
+    return viol**2
 
 
-def collision_point_grad(ids, nn, viol, collider: ColliderMesh, coeff, out):
-    hit = nn >= 0
-    g = (2.0 * coeff * viol[hit])[:, None] * gather_rows(collider.normals, nn[hit])
-    scatter_add_rows(out, ids[hit], g)
+# Nothing in the package calls the ``*_grad`` wrappers; ``perfbench/tracing.py``
+# looks all eight kernel names up on ``drapefit.trainer``, which imports them.
+
+
+def strain_edge_grad(positions, edges, rest_lengths, coeff, out, form: str = "relative"):
+    """Accumulate coeff * d(strain terms)/d(positions) into ``out``."""
+    strain_edge_terms(positions, edges, rest_lengths, form, coeff=coeff, out=out)
+
+
+def bend_pair_grad(positions, faces, pairs, coeff, out):
+    """Accumulate coeff * d(bend terms)/d(positions) into ``out``."""
+    bend_pair_terms(positions, faces, pairs, coeff=coeff, out=out)
+
+
+def gravity_point_grad(positions, ids, consts: PhysicsConstants, coeff, out):
+    """Accumulate coeff * d(gravity terms)/d(positions) into ``out``."""
+    gravity_point_terms(positions, ids, consts, coeff=coeff, out=out)
+
+
+def collision_point_grad(positions, ids, collider: ColliderMesh, consts, coeff, out):
+    """Accumulate coeff * d(collision terms)/d(positions) into ``out``."""
+    collision_point_terms(positions, ids, collider, consts, coeff=coeff, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +280,7 @@ def collision_loss(
     """Collision penalty summed over the patch's six vertices."""
     if collider is None or len(collider.vertices) == 0:
         raise EmptyCollider("collision loss needs a collider with vertices")
-    terms, _, _ = collision_point_terms(
-        s3d.positions, np.arange(6), collider, consts
-    )
-    return float(terms.sum())
+    return float(collision_point_terms(s3d.positions, np.arange(6), collider, consts).sum())
 
 
 def structure_loss(
@@ -339,7 +342,9 @@ def _lift_patches(mesh, centers, thetas, side, edge_set, strain_form):
     rest = rest.reshape(B, STRIDE, 3)
     valid = point_ok.reshape(B, STRIDE).all(axis=1)
     edges = _structure_edges(edge_set)
-    rest_lengths = np.linalg.norm(rest[:, edges[:, 0]] - rest[:, edges[:, 1]], axis=2)
+    rest_lengths = np.linalg.norm(
+        np.take(rest, edges[:, 0], axis=1) - np.take(rest, edges[:, 1], axis=1), axis=2
+    )
     if strain_form == "relative":
         valid &= np.all(rest_lengths > 1e-12, axis=1)
     return pts, rest, valid, rest_lengths
@@ -431,17 +436,27 @@ def evaluate_structure_batch(
     pairs = (FACE_PAIRS[None, :, :] + 4 * np.arange(K)[:, None, None]).reshape(-1, 2)
     rest_sel = rest_lengths[struct_ok].reshape(-1)
 
-    strain_terms = strain_edge_terms(positions, edges, rest_sel, strain_form)
-    bend_terms = bend_pair_terms(positions, faces, pairs, result.diagnostics)
+    # each kernel adds its weighted gradient into dpos; the order of the
+    # kernels fixes the summation order, and so the bits, of every row
+    dpos = np.zeros_like(positions) if want_grad else None
+    strain_terms = strain_edge_terms(
+        positions, edges, rest_sel, strain_form, coeff=weights.strain, out=dpos
+    )
+    bend_terms = bend_pair_terms(
+        positions, faces, pairs, result.diagnostics, coeff=weights.bend, out=dpos
+    )
     center_ids = STRIDE * np.arange(K) + 6
-    gravity_terms = gravity_point_terms(positions, center_ids, consts)
+    gravity_terms = gravity_point_terms(
+        positions, center_ids, consts, coeff=weights.gravity, out=dpos
+    )
 
     vert_ids = (STRIDE * np.arange(K)[:, None] + np.arange(6)[None, :]).reshape(-1)
     if collider is not None and len(collider.vertices) > 0:
-        coll_terms, nn, viol = collision_point_terms(positions, vert_ids, collider, consts)
+        coll_terms = collision_point_terms(
+            positions, vert_ids, collider, consts, coeff=weights.collision, out=dpos
+        )
     else:
         coll_terms = np.zeros(len(vert_ids))
-        nn = viol = None
 
     result.strain[struct_ok] = strain_terms.reshape(K, -1).sum(axis=1)
     result.bend[struct_ok] = bend_terms.reshape(K, -1).sum(axis=1)
@@ -449,17 +464,6 @@ def evaluate_structure_batch(
     result.collision[struct_ok] = coll_terms.reshape(K, -1).sum(axis=1)
     result.positions = positions
     result.strain_terms = strain_terms
-
-    if want_grad:
-        dpos = np.zeros_like(positions)
-        if weights.strain != 0:
-            strain_edge_grad(positions, edges, rest_sel, weights.strain, dpos, strain_form)
-        if weights.bend != 0:
-            bend_pair_grad(positions, faces, pairs, weights.bend, dpos)
-        if weights.gravity != 0:
-            gravity_point_grad(center_ids, consts, weights.gravity, dpos)
-        if weights.collision != 0 and nn is not None:
-            collision_point_grad(vert_ids, nn, viol, collider, weights.collision, dpos)
-        result.tape = tape
-        result.upstream = dpos
+    result.tape = tape  # None unless want_grad
+    result.upstream = dpos
     return result

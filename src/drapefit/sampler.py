@@ -282,12 +282,9 @@ def lloyd_relax(points, iterations: int, domain=(0.0, 1.0, 0.0, 1.0)) -> np.ndar
         y2 = vy[nxt]
         cr = vx * y2 - x2 * vy
         owner = np.repeat(np.arange(n), lengths)
-        area2 = np.zeros(n)
-        cx = np.zeros(n)
-        cy = np.zeros(n)
-        np.add.at(area2, owner, cr)
-        np.add.at(cx, owner, (vx + x2) * cr)
-        np.add.at(cy, owner, (vy + y2) * cr)
+        area2 = np.bincount(owner, weights=cr, minlength=n)
+        cx = np.bincount(owner, weights=(vx + x2) * cr, minlength=n)
+        cy = np.bincount(owner, weights=(vy + y2) * cr, minlength=n)
         ok = np.abs(area2) > 1e-30
         new_pts = sites.copy()
         new_pts[ok, 0] = cx[ok] / (3.0 * area2[ok])

@@ -385,13 +385,6 @@ class GradientBuffer:
         ):
             raise ShapeMismatch("gradient buffer does not match model shapes")
 
-    def scaled(self, factor: float) -> "GradientBuffer":
-        return GradientBuffer(
-            [g * factor for g in self.grids],
-            [w * factor for w in self.weights],
-            [b * factor for b in self.biases],
-        )
-
 
 def backward(
     model: SurfaceModel,

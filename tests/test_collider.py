@@ -12,7 +12,7 @@ from drapefit import (
     torus,
 )
 from drapefit.errors import DegenerateMesh, EmptyCollider, UnreachablePoint
-from drapefit.losses import collision_point_grad, collision_point_terms
+from drapefit.losses import collision_point_terms
 
 
 def brute_force_nearest(vertices, q):
@@ -320,16 +320,14 @@ class TestContacts:
         pts = probe_points(collider, eps, rng)
         ids = rng.permutation(len(pts))[: len(pts) // 2]
         want_viol, _ = reference_contacts(collider, pts[ids], eps)
-        terms, nn, viol = collision_point_terms(pts, ids, collider, consts)
-        assert viol.tobytes() == want_viol.tobytes()
+        got = np.zeros_like(pts)
+        terms = collision_point_terms(pts, ids, collider, consts, coeff=3.0, out=got)
         assert terms.tobytes() == (want_viol**2).tobytes()
         # gradient as the full search gives it: every point scattered, the
         # ones without a contact adding zero
         full_nn, _ = collider.index.nearest(pts[ids])
         want = np.zeros_like(pts)
         np.add.at(want, ids, (2.0 * 3.0 * want_viol)[:, None] * collider.normals[full_nn])
-        got = np.zeros_like(pts)
-        collision_point_grad(ids, nn, viol, collider, 3.0, got)
         assert got.tobytes() == want.tobytes()
         pen_viol, _ = reference_contacts(collider, pts, 0.0)
         assert np.array_equal(collider.contacts(pts, 0.0)[0] < 0, pen_viol < 0)

@@ -23,6 +23,7 @@ from drapefit.errors import InvalidStructure, InvalidUvPoint, ZeroRestLength
 from drapefit.losses import (
     STRIDE,
     LossDiagnostics,
+    _lift_patches,
     bend_pair_grad,
     bend_pair_terms,
     collision_point_grad,
@@ -33,7 +34,7 @@ from drapefit.losses import (
     strain_edge_terms,
     structure_validity,
 )
-from drapefit.structures import EDGES, FACE_PAIRS, FACES, LocalStructure3D
+from drapefit.structures import EDGES, FACE_PAIRS, FACES, INNER_EDGE_COUNT, LocalStructure3D
 from drapefit.trainer import MeshGraph
 
 
@@ -398,48 +399,55 @@ def _mesh_layout(seed=0):
     return positions, graph.edges, graph.faces, graph.pairs, ids, ids
 
 
+def _kernel_calls(layout):
+    """Every loss kernel on one layout, each as a call that takes the
+    gradient keywords; the collider gives both contacts and misses."""
+    positions, edges, faces, pairs, centers, verts = layout()
+    rest = np.linalg.norm(positions[edges[:, 0]] - positions[edges[:, 1]], axis=1)
+    rest *= np.random.default_rng(5).uniform(0.8, 1.2, len(rest))
+    consts = PhysicsConstants(collision_epsilon=0.01)
+    sphere = icosphere(2, 0.3, (0.5, 0.5, -0.29))
+    _, nn = sphere.contacts(positions[verts], consts.collision_epsilon)
+    assert (nn >= 0).any() and (nn < 0).any()
+    return positions, [
+        lambda **grad: strain_edge_terms(positions, edges, rest, **grad),
+        lambda **grad: strain_edge_terms(positions, edges, rest, "absolute", **grad),
+        lambda **grad: bend_pair_terms(positions, faces, pairs, **grad),
+        lambda **grad: gravity_point_terms(positions, centers, consts, **grad),
+        lambda **grad: collision_point_terms(positions, verts, sphere, consts, **grad),
+    ]
+
+
+def _start(positions):
+    """A nonzero gradient accumulator."""
+    return np.random.default_rng(99).normal(0, 1, positions.shape)
+
+
 class TestScatterKernelsAreExact:
-    """Each gradient kernel adds the same values in the same order as its
-    former 2-D ``np.add.at`` form (the fancy-index ``+=`` for gravity), so
-    the results agree bit for bit, on top of nonzero accumulators."""
-
-    @staticmethod
-    def _run_both(monkeypatch, reference, kernel, positions):
-        import drapefit.losses
-
-        start = np.random.default_rng(99).normal(0, 1, positions.shape)
-        fast = start.copy()
-        kernel(fast)
-        monkeypatch.setattr(drapefit.losses, "scatter_add_rows", reference)
-        slow = start.copy()
-        kernel(slow)
-        assert not np.array_equal(fast, start)
-        assert fast.tobytes() == slow.tobytes()
+    """Each kernel's gradient scatter adds the same values in the same order
+    as its former 2-D ``np.add.at`` form (the fancy-index ``+=`` for
+    gravity), so the results agree bit for bit, on top of nonzero
+    accumulators."""
 
     @pytest.mark.parametrize("layout", [_patch_layout, _mesh_layout])
     def test_kernels_match_the_former_scatters(self, monkeypatch, layout):
-        positions, edges, faces, pairs, centers, verts = layout()
-        rest = np.linalg.norm(positions[edges[:, 0]] - positions[edges[:, 1]], axis=1)
-        rest *= np.random.default_rng(5).uniform(0.8, 1.2, len(rest))
-        consts = PhysicsConstants(collision_epsilon=0.01)
-        sphere = icosphere(2, 0.3, (0.5, 0.5, -0.29))
-        _, nn, viol = collision_point_terms(positions, verts, sphere, consts)
-        assert (nn >= 0).any() and (nn < 0).any()
+        import drapefit.losses
+
+        positions, calls = _kernel_calls(layout)
 
         def fancy(out, rows, vals):
             out[rows] += vals
 
-        cases = [
-            (np.add.at, lambda out: strain_edge_grad(positions, edges, rest, 0.7, out)),
-            (np.add.at,
-             lambda out: strain_edge_grad(positions, edges, rest, 0.7, out, "absolute")),
-            (np.add.at, lambda out: bend_pair_grad(positions, faces, pairs, 0.3, out)),
-            (fancy, lambda out: gravity_point_grad(centers, consts, 2.0, out)),
-            (np.add.at, lambda out: collision_point_grad(verts, nn, viol, sphere, 5.0, out)),
-        ]
-        for reference, kernel in cases:
+        references = [np.add.at, np.add.at, np.add.at, fancy, np.add.at]
+        for reference, call in zip(references, calls):
+            fast = _start(positions)
+            call(coeff=0.7, out=fast)
             with monkeypatch.context() as m:
-                self._run_both(m, reference, kernel, positions)
+                m.setattr(drapefit.losses, "scatter_add_rows", reference)
+                slow = _start(positions)
+                call(coeff=0.7, out=slow)
+            assert not np.array_equal(fast, _start(positions))
+            assert fast.tobytes() == slow.tobytes()
 
 
 class TestGatherKernelsAreExact:
@@ -450,39 +458,32 @@ class TestGatherKernelsAreExact:
     def test_kernels_match_the_fancy_index_form(self, monkeypatch, layout):
         import drapefit.losses
 
-        positions, edges, faces, pairs, centers, verts = layout()
-        rest = np.linalg.norm(positions[edges[:, 0]] - positions[edges[:, 1]], axis=1)
-        rest *= np.random.default_rng(5).uniform(0.8, 1.2, len(rest))
-        consts = PhysicsConstants(collision_epsilon=0.01)
-        sphere = icosphere(2, 0.3, (0.5, 0.5, -0.29))
+        positions, calls = _kernel_calls(layout)
 
         def run_all():
-            collision = collision_point_terms(positions, verts, sphere, consts)
-            _, nn, viol = collision
-            assert (nn >= 0).any() and (nn < 0).any()
-            out = [
-                strain_edge_terms(positions, edges, rest),
-                strain_edge_terms(positions, edges, rest, "absolute"),
-                bend_pair_terms(positions, faces, pairs),
-                gravity_point_terms(positions, centers, consts),
-                *collision,
-            ]
-            start = np.random.default_rng(99).normal(0, 1, positions.shape)
-            for grad in (
-                lambda g: strain_edge_grad(positions, edges, rest, 0.7, g),
-                lambda g: strain_edge_grad(positions, edges, rest, 0.7, g, "absolute"),
-                lambda g: bend_pair_grad(positions, faces, pairs, 0.3, g),
-                lambda g: collision_point_grad(verts, nn, viol, sphere, 5.0, g),
-            ):
-                g = start.copy()
-                grad(g)
-                out.append(g)
+            out = []
+            for call in calls:
+                g = _start(positions)
+                out += [call(coeff=0.7, out=g), g]
             return out
 
         fast = run_all()
         monkeypatch.setattr(drapefit.losses, "gather_rows", lambda a, rows: a[rows])
         for got, want in zip(fast, run_all()):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("edge_set", ["all9", "inner3"])
+    def test_patch_rest_lengths_match_the_fancy_index_form(self, curved_mesh, edge_set):
+        rng = np.random.default_rng(4)
+        centers = rng.uniform(0.05, 0.95, (64, 2))
+        thetas = rng.uniform(0.0, np.pi / 3, 64)
+        _, rest, valid, got = _lift_patches(
+            curved_mesh, centers, thetas, 0.02, edge_set, "relative"
+        )
+        edges = EDGES if edge_set == "all9" else EDGES[:INNER_EDGE_COUNT]
+        want = np.linalg.norm(rest[:, edges[:, 0]] - rest[:, edges[:, 1]], axis=2)
+        assert valid.any() and got.shape == (64, len(edges))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_mesh_graph_rest_lengths_match_the_fancy_index_form(self, monkeypatch):
         import drapefit.trainer
@@ -491,3 +492,58 @@ class TestGatherKernelsAreExact:
         got = MeshGraph.build(mesh).rest_lengths
         monkeypatch.setattr(drapefit.trainer, "gather_rows", lambda a, rows: a[rows])
         assert got.tobytes() == MeshGraph.build(mesh).rest_lengths.tobytes()
+
+
+class TestOneKernelPerLoss:
+    """Asking a kernel for its gradient reads the positions no more often
+    and leaves the terms unchanged; weight 0 asks for no gradient."""
+
+    @pytest.mark.parametrize("layout", [_patch_layout, _mesh_layout])
+    def test_terms_are_the_same_with_and_without_out(self, monkeypatch, layout):
+        import drapefit.losses
+
+        positions, calls = _kernel_calls(layout)
+        position_reads = []
+
+        def counting_gather(a, rows):
+            position_reads.append(a is positions)
+            return a[rows]
+
+        monkeypatch.setattr(drapefit.losses, "gather_rows", counting_gather)
+        for call in calls:
+            alone = call()
+            reads_alone = sum(position_reads)
+            g = _start(positions)
+            with_grad = call(coeff=0.7, out=g)
+            assert sum(position_reads) == 2 * reads_alone
+            position_reads.clear()
+            assert not np.array_equal(g, _start(positions))
+            assert alone.dtype == with_grad.dtype and alone.tobytes() == with_grad.tobytes()
+
+        def no_scatter(*args):
+            raise AssertionError("scattered a gradient of weight 0")
+
+        monkeypatch.setattr(drapefit.losses, "scatter_add_rows", no_scatter)
+        for call in calls:
+            assert call(coeff=0.0, out=_start(positions)).tobytes() == call().tobytes()
+
+    def test_grad_wrappers_add_what_the_kernels_add(self):
+        positions, edges, faces, pairs, centers, verts = _patch_layout()
+        rest = np.linalg.norm(positions[edges[:, 0]] - positions[edges[:, 1]], axis=1)
+        consts = PhysicsConstants(collision_epsilon=0.01)
+        sphere = icosphere(2, 0.3, (0.5, 0.5, -0.29))
+        pairs_of_calls = [
+            (lambda g: strain_edge_grad(positions, edges, rest, 0.7, g, "absolute"),
+             lambda g: strain_edge_terms(positions, edges, rest, "absolute", coeff=0.7, out=g)),
+            (lambda g: bend_pair_grad(positions, faces, pairs, 0.7, g),
+             lambda g: bend_pair_terms(positions, faces, pairs, coeff=0.7, out=g)),
+            (lambda g: gravity_point_grad(positions, centers, consts, 0.7, g),
+             lambda g: gravity_point_terms(positions, centers, consts, coeff=0.7, out=g)),
+            (lambda g: collision_point_grad(positions, verts, sphere, consts, 0.7, g),
+             lambda g: collision_point_terms(positions, verts, sphere, consts, coeff=0.7, out=g)),
+        ]
+        for wrapper, kernel in pairs_of_calls:
+            got, want = _start(positions), _start(positions)
+            wrapper(got)
+            kernel(want)
+            assert got.tobytes() == want.tobytes()
