@@ -138,36 +138,23 @@ def cmd_export(args) -> int:
         uu, vv = np.meshgrid(axis, axis, indexing="xy")
         nodes = np.stack([uu.ravel(), vv.ravel()], axis=1)
         rest, valid = mesh.locator().rest_positions(nodes)
-        cell_ok = (
-            valid.reshape(R, R)[:-1, :-1]
-            & valid.reshape(R, R)[:-1, 1:]
-            & valid.reshape(R, R)[1:, :-1]
-            & valid.reshape(R, R)[1:, 1:]
-        )
         if not valid.any():
             raise DrapefitError("no grid node lies inside the garment UV region")
         disp, _ = forward_batch(model, nodes[valid])
         new_index = np.full(len(nodes), -1, dtype=np.int64)
         new_index[valid] = np.arange(int(valid.sum()))
         positions = rest[valid] + disp.astype(np.float64)
-        tris = []
-        for i in range(R - 1):
-            for j in range(R - 1):
-                if not cell_ok[i, j]:
-                    continue
-                a = i * R + j
-                b = a + 1
-                c = a + R
-                d = c + 1
-                tris.append([new_index[a], new_index[b], new_index[d]])
-                tris.append([new_index[a], new_index[d], new_index[c]])
-        write_obj(
-            out,
-            positions,
-            np.asarray(tris, dtype=np.int64).reshape(-1, 3),
-            uvs=nodes[valid],
-            name=mesh.name,
+        # each cell whose four corners are valid, in row-major order, gives
+        # the triangles (a, b, d) and (a, d, c) of its corners a, b = a + 1,
+        # c = a + R and d = c + 1
+        node_ok = valid.reshape(R, R)
+        i, j = np.nonzero(
+            node_ok[:-1, :-1] & node_ok[:-1, 1:] & node_ok[1:, :-1] & node_ok[1:, 1:]
         )
+        a = i * R + j
+        corners = np.stack([a, a + 1, a + R + 1, a, a + R + 1, a + R], axis=1)
+        tris = new_index[corners].reshape(-1, 3)
+        write_obj(out, positions, tris, uvs=nodes[valid], name=mesh.name)
     print(f"exported = {out}")
     return 0
 

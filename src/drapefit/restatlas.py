@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTriangle, InvalidUvPoint
-from .rows import gather_rows
+from .rows import gather_rows, row_blocks
 
 AREA_EPS = 1e-12          # |signed area| at or below this is degenerate
 CONTAINMENT_TOL = -1e-9   # barycentric coordinates may undershoot by this much
@@ -152,10 +152,10 @@ class TriangleLocator:
     """Point-in-triangulation queries over the garment's UV layout.
 
     Triangles are binned by UV bounding box into a uniform grid of
-    min(256, sqrt(triangle count)) cells per side; a query gathers
-    candidates from its bin and tests barycentric containment with tolerance
-    -1e-9. Ties at shared edges resolve to the lowest triangle index, so
-    results are deterministic.
+    max(1, floor(sqrt(triangle count))) cells per side, about one triangle
+    per cell; a query gathers candidates from its bin and tests barycentric
+    containment with tolerance -1e-9. Ties at shared edges resolve to the
+    lowest triangle index, so results are deterministic.
     """
 
     def __init__(self, mesh: GarmentRestMesh):
@@ -173,7 +173,7 @@ class TriangleLocator:
         self._rest = mesh.vertices[tris]          # (m, 3, 3)
 
         m = len(tris)
-        self.bins = max(1, min(256, int(np.sqrt(max(m, 1)))))
+        self.bins = max(1, int(np.sqrt(m)))
         g = self.bins
         tri_uv = uv[tris]
         lo = np.clip((tri_uv.min(axis=1) * g).astype(np.int64), 0, g - 1)
@@ -246,13 +246,21 @@ class TriangleLocator:
         return tri_out, lam_out
 
     def rest_positions(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Rest 3D positions for a batch of UV points plus a validity mask."""
+        """Rest 3D positions for a batch of UV points plus a validity mask.
+
+        The points are located and blended in ``row_blocks``, so the
+        candidate arrays of ``locate`` stay in cache; each point's lookup is
+        independent of the others, so the result is that of one pass.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        tri, lam = self.locate(pts)
-        valid = tri >= 0
-        # an invalid row has tri -1 and lam 0: it reads the last triangle's
-        # corners, and its blend (NaN if a corner is not finite) is reset to +0
-        out = np.einsum("kc,kcd->kd", lam, gather_rows(self._rest, tri))
+        out = np.empty((len(pts), 3), dtype=np.float64)
+        valid = np.empty(len(pts), dtype=bool)
+        for rows in row_blocks(len(pts)):
+            tri, lam = self.locate(pts[rows])
+            valid[rows] = tri >= 0
+            # an invalid row has tri -1 and lam 0: it reads the last triangle's
+            # corners, and its blend (NaN if a corner is not finite) is reset to +0
+            out[rows] = np.einsum("kc,kcd->kd", lam, gather_rows(self._rest, tri))
         out[~valid] = 0.0
         return out, valid
 

@@ -20,7 +20,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .restatlas import GarmentRestMesh, rest_position
-from .rows import gather_rows, scatter_add_rows
+from .rows import gather_rows, row_blocks, scatter_add_rows
 
 DOMAIN_TOL = 1e-12
 CHECKPOINT_MAGIC = "drapefit-surface"
@@ -221,8 +221,10 @@ def init_model(
 
 
 def _check_domain(pts: np.ndarray) -> np.ndarray:
-    if np.any(pts < -DOMAIN_TOL) or np.any(pts > 1.0 + DOMAIN_TOL):
-        bad = pts[np.any((pts < -DOMAIN_TOL) | (pts > 1.0 + DOMAIN_TOL), axis=1)][0]
+    # "every coordinate in range" is false for NaN, so NaN fails the check
+    inside = (pts >= -DOMAIN_TOL) & (pts <= 1.0 + DOMAIN_TOL)
+    if not inside.all():
+        bad = pts[~inside.all(axis=1)][0]
         raise OutOfDomain(f"UV point {tuple(bad)} outside [0, 1]^2")
     return np.clip(pts, 0.0, 1.0)
 
@@ -317,31 +319,44 @@ def encode(model: SurfaceModel, p) -> np.ndarray:
     return x[0]
 
 
+def _mlp_forward(mlp: MlpParams, x: np.ndarray, activations: list | None = None):
+    """Decoder output for MLP inputs ``x``; appends each hidden layer's
+    post-activation to ``activations`` when a list is given."""
+    a = x
+    last = len(mlp.weights) - 1
+    for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        # bias and activation in place on the fresh matmul output
+        a = a @ w
+        a += b
+        if k < last:
+            if mlp.activation == "relu":
+                np.maximum(a, 0, out=a)
+            else:
+                np.tanh(a, out=a)
+            if activations is not None:
+                activations.append(a)
+    return a
+
+
 def forward_batch(model: SurfaceModel, points, record_tape: bool = False):
     """Evaluate the deformation at a batch of UV points.
 
     Returns (displacements (B, 3), tape or None). The tape records exactly
     what ``backward`` needs: bilinear scatter targets and layer activations.
+    Without a tape the rows run in ``row_blocks``, whose activations stay in
+    cache; rows are independent, so the result is the same bits as one pass.
     """
     pts = _check_domain(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-    x, grid_idx, grid_w = _encode_batch(model, pts)
-    a = x
-    activations = []
-    n_layers = len(model.mlp.weights)
-    for k, (w, b) in enumerate(zip(model.mlp.weights, model.mlp.biases)):
-        # bias and activation in place on the fresh matmul output
-        a = a @ w
-        a += b
-        if k < n_layers - 1:
-            if model.mlp.activation == "relu":
-                np.maximum(a, 0, out=a)
-            else:
-                np.tanh(a, out=a)
-            activations.append(a)
-    tape = None
     if record_tape:
-        tape = ForwardTape(pts, grid_idx, grid_w, x, activations)
-    return a, tape
+        x, grid_idx, grid_w = _encode_batch(model, pts)
+        activations = []
+        out = _mlp_forward(model.mlp, x, activations)
+        return out, ForwardTape(pts, grid_idx, grid_w, x, activations)
+    out = np.empty((len(pts), model.mlp.layer_dims[-1]), dtype=model.dtype)
+    for rows in row_blocks(len(pts)):
+        x, _, _ = _encode_batch(model, pts[rows])
+        out[rows] = _mlp_forward(model.mlp, x)
+    return out, None
 
 
 def deform(model: SurfaceModel, p) -> np.ndarray:

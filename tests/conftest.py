@@ -5,7 +5,8 @@ from drapefit import GarmentRestMesh, square_cloth
 
 # Acceptance criteria 6 and 7 train full models and take most of the suite's
 # time; every other test takes seconds at most. Run those two last, so that a
-# failure anywhere else is reported before they start.
+# failure anywhere else is reported before they start, and mark them slow, so
+# that `pytest -m "not slow"` runs everything else.
 _FULL_TRAININGS = (
     "test_criterion_6a_loss_monotone_ema",
     "test_criterion_6b_6c_penetration_and_strain",
@@ -14,6 +15,9 @@ _FULL_TRAININGS = (
 
 
 def pytest_collection_modifyitems(items):
+    for item in items:
+        if item.name in _FULL_TRAININGS:
+            item.add_marker(pytest.mark.slow)
     items.sort(key=lambda item: item.name in _FULL_TRAININGS)
 
 

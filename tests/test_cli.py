@@ -9,9 +9,10 @@ from drapefit import (
     init_model,
     save_checkpoint,
     square_cloth,
+    square_cloth_with_hole,
 )
 from drapefit.cli import main
-from drapefit.config import RunConfig, load_config, save_config
+from drapefit.config import RunConfig, garment_from_obj, load_config, save_config
 from drapefit.errors import ConfigError
 from drapefit.objio import read_obj, write_obj
 from drapefit.surface import EncoderConfig
@@ -206,6 +207,39 @@ class TestExportCommand:
         data = read_obj(out)
         assert len(data.vertices) == 16
         assert len(data.faces) == 18
+
+    @pytest.mark.parametrize("resolution", [2, 3, 5, 8, 13, 40])
+    def test_grid_mode_triangles_equal_the_cell_loop(self, tmp_path, resolution):
+        cloth_path = tmp_path / "holed.obj"
+        holed = square_cloth_with_hole(17)
+        write_obj(cloth_path, holed.vertices, holed.triangles, uvs=holed.uvs, name=holed.name)
+        model = init_model(EncoderConfig((9, 4), 3), [6, 8, 8, 8, 3], seed=0)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(model, ckpt)
+        out = tmp_path / "grid.obj"
+        assert main(["export", "--checkpoint", str(ckpt), "--garment", str(cloth_path),
+                     "--mode", "grid", "--grid-resolution", str(resolution),
+                     "--out", str(out)]) == 0
+        # the former export: a loop over the (R - 1)^2 cells of the node grid
+        R = resolution
+        axis = np.linspace(0.0, 1.0, R)
+        uu, vv = np.meshgrid(axis, axis, indexing="xy")
+        nodes = np.stack([uu.ravel(), vv.ravel()], axis=1)
+        garment = garment_from_obj(read_obj(cloth_path))
+        _, valid = garment.locator().rest_positions(nodes)
+        new_index = np.cumsum(valid) - 1
+        tris = []
+        for i in range(R - 1):
+            for j in range(R - 1):
+                a, b, c, d = i * R + j, i * R + j + 1, (i + 1) * R + j, (i + 1) * R + j + 1
+                if valid[[a, b, c, d]].all():
+                    tris.append([new_index[a], new_index[b], new_index[d]])
+                    tris.append([new_index[a], new_index[d], new_index[c]])
+        data = read_obj(out)
+        assert len(data.vertices) == int(valid.sum())
+        assert np.array_equal(data.faces, np.asarray(tris, dtype=np.int64).reshape(-1, 3))
+        if R > 5:
+            assert 0 < len(tris) < 2 * (R - 1) ** 2  # the hole drops cells
 
     def test_export_reimports_identically(self, tmp_path):
         cloth_path = tmp_path / "cloth.obj"

@@ -14,6 +14,7 @@ from drapefit import (
 )
 from drapefit.errors import DegenerateTriangle, InvalidUvPoint
 from drapefit.restatlas import dump_atlas_png
+from drapefit.rows import ROW_BLOCK
 
 
 def brute_force_locate(mesh, p, tol=-1e-9):
@@ -391,3 +392,63 @@ class TestMeshValidation:
     def test_accepts_touching_triangles(self, planar_mesh, half_mesh):
         planar_mesh.validate()
         half_mesh.validate()
+
+
+def first_containing_triangle(mesh, p, tol=-1e-9):
+    """Vectorised containment oracle: barycentrics of p in every triangle,
+    lowest index wins."""
+    a, b, c = (mesh.uvs[mesh.triangles[:, k]] for k in range(3))
+    area = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    l1 = ((b[:, 0] - p[0]) * (c[:, 1] - p[1]) - (b[:, 1] - p[1]) * (c[:, 0] - p[0])) / area
+    l2 = ((p[0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (p[1] - a[:, 1]) * (c[:, 0] - a[:, 0])) / area
+    hits = np.flatnonzero((l1 >= tol) & (l2 >= tol) & (1.0 - l1 - l2 >= tol))
+    return int(hits[0]) if len(hits) else None
+
+
+class TestBlockedLookup:
+    """``rest_positions`` locates and blends in row blocks, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["holed", "infinite"])
+    def test_equals_one_locate_pass(self, monkeypatch, name):
+        mesh = square_cloth_with_hole(33)
+        if name == "infinite":
+            # invalid points read the last triangle, whose zero-weight blend is NaN here
+            far = mesh.vertices.copy()
+            far[mesh.triangles[-1, 0], 0] = np.inf
+            mesh = GarmentRestMesh(far, mesh.uvs, mesh.triangles)
+        loc = mesh.locator()
+        rng = np.random.default_rng(3)
+        pts = np.concatenate([rng.uniform(-0.05, 1.05, (3 * ROW_BLOCK + 77, 2)), query_points(mesh)])
+        pts = pts[rng.permutation(len(pts))]
+        tri, lam = loc.locate(pts)
+        want_valid = tri >= 0
+        want = np.einsum("kc,kcd->kd", lam, loc._rest[tri])
+        want[~want_valid] = 0.0
+        located = []
+        locate = loc.locate
+
+        def counting_locate(points):
+            located.append(len(points))
+            return locate(points)
+
+        monkeypatch.setattr(loc, "locate", counting_locate)
+        pos, valid = loc.rest_positions(pts)
+        assert len(located) == len(pts) // ROW_BLOCK > 1 and min(located) == ROW_BLOCK
+        assert sum(located) == len(pts)
+        assert not valid.all() and valid.any()
+        assert np.array_equal(valid, want_valid) and pos.tobytes() == want.tobytes()
+
+    def test_uncapped_grid_on_a_large_garment(self):
+        mesh = square_cloth(256)
+        loc = mesh.locator()
+        assert loc.bins == int(np.sqrt(len(mesh.triangles))) == 360
+        # every 17th vertex line of the 255-cell cloth, k / 255 = 24 q / 360,
+        # lies on a cell boundary of the 360-cell grid
+        rng = np.random.default_rng(4)
+        line = np.arange(0, 256, 17) / 255.0
+        on_lines = np.stack([np.repeat(line, 3), rng.random(3 * len(line))], axis=1)
+        corners = np.stack(np.meshgrid(line[::3], line[::3]), axis=-1).reshape(-1, 2)
+        pts = np.concatenate([rng.random((60, 2)), on_lines, on_lines[:, ::-1], corners])
+        tri, _ = loc.locate(pts)
+        for p, t in zip(pts, tri):
+            assert (int(t) if t >= 0 else None) == first_containing_triangle(mesh, p), p

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,9 @@ from drapefit.errors import (
     OutOfDomain,
     ShapeMismatch,
 )
-from drapefit.rows import gather_rows
+from drapefit.rows import ROW_BLOCK, gather_rows, row_blocks
 from drapefit.surface import ENCODING_IDENTITY, ENCODING_POSITIONAL
+from drapefit.trainer import default_bench_variants
 
 
 def small_model(seed=3, dtype=np.float64, perturb=0.1):
@@ -556,3 +559,84 @@ class TestGatherRows:
         want = drapefit.surface._bilinear_batch(layer, pts)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestRowBlocks:
+    """Untaped forward passes run in ``row_blocks`` and change no bit."""
+
+    SIZES = (1, 5208, 5209, 8191, 8192, 16383, 16384, 16385, 114688)
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 5208, 8191, 8192, 8193, 16383, 16384, 16385, 24575, 24576, 114688, 114689]
+    )
+    def test_blocks_cover_the_range_and_are_never_short(self, n):
+        blocks = list(row_blocks(n))
+        rows = np.concatenate([np.arange(n)[s] for s in blocks])
+        assert np.array_equal(rows, np.arange(n))
+        lengths = [s.stop - s.start for s in blocks]
+        assert all(s.step is None for s in blocks)
+        assert min(lengths) >= min(n, ROW_BLOCK)
+        assert max(lengths) <= 2 * ROW_BLOCK - 1
+        assert len(blocks) == max(1, n // ROW_BLOCK)
+
+    @staticmethod
+    def _drape_model(encoding):
+        # the benchmark's variant of each encoding, with the parameter noise
+        # the drape-query checkpoints carry so that no layer is all zero
+        variant = {v.encoding: v for v in default_bench_variants()}[encoding]
+        model = init_model(variant.encoder, variant.mlp_dims, seed=5,
+                           encoding=variant.encoding,
+                           num_frequencies=variant.num_frequencies)
+        rng = np.random.default_rng(5)
+        for a in model.param_arrays():
+            a += rng.normal(0.0, 0.05, a.shape).astype(a.dtype)
+        return model
+
+    @pytest.mark.parametrize("encoding", ["multigrid", ENCODING_IDENTITY, ENCODING_POSITIONAL])
+    def test_blocked_forward_equals_one_pass(self, monkeypatch, encoding):
+        import drapefit.surface
+
+        model = self._drape_model(encoding)
+        encode_batch = drapefit.surface._encode_batch
+        encoded = []
+
+        def counting_encode(m, pts):
+            encoded.append(len(pts))
+            return encode_batch(m, pts)
+
+        monkeypatch.setattr(drapefit.surface, "_encode_batch", counting_encode)
+        pts_all = np.random.default_rng(7).random((max(self.SIZES), 2))
+        pts_all[:4] = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+        for n in self.SIZES:
+            pts = pts_all[:n]
+            encoded.clear()
+            out, tape = forward_batch(model, pts)
+            assert tape is None
+            assert sum(encoded) == n and min(encoded) >= min(n, ROW_BLOCK)
+            assert len(encoded) == max(1, n // ROW_BLOCK)
+            # one pass over the whole batch, layer by layer
+            a, _, _ = encode_batch(model, pts)
+            for k, (w, b) in enumerate(zip(model.mlp.weights, model.mlp.biases)):
+                a = a @ w + b
+                if k < len(model.mlp.weights) - 1:
+                    a = np.maximum(a, 0)
+            assert out.dtype == a.dtype == np.float32 and out.shape == (n, 3)
+            assert out.tobytes() == a.tobytes(), n
+
+
+class TestDomainCheck:
+    @pytest.mark.parametrize(
+        "bad", [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [0.5, -np.inf], [1.001, 0.5]]
+    )
+    def test_non_finite_or_outside_points_raise(self, bad):
+        model = small_model()
+        pts = np.array([[0.2, 0.3], bad, [0.7, 0.1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for record_tape in (False, True):
+                with pytest.raises(OutOfDomain):
+                    forward_batch(model, pts, record_tape=record_tape)
+            with pytest.raises(OutOfDomain):
+                deform(model, bad)
+            with pytest.raises(OutOfDomain):
+                encode(model, bad)

@@ -486,6 +486,29 @@ class TestEvaluateDense:
             lo.breakdown.weighted_total, rel=0.05
         )
 
+    def test_drape_query_scene_equals_one_pass(self, monkeypatch):
+        # the serving scene: 114,688 points per request, so the forward pass
+        # and the rest lookup both run in 14 row blocks; with ROW_BLOCK
+        # larger than the batch both run in one pass
+        import drapefit.rows
+
+        mesh = square_cloth(256)
+        collider = icosphere(5, 0.3, (0.5, 0.5, -0.31))
+        weights = LossWeights(0.005, 0.0005, 2.0, 1e7)
+        rng = np.random.default_rng(2)
+        for seed in (1, 2):
+            model = TrainConfig(epochs=1, seed=seed).build_model()
+            for a in model.param_arrays():
+                a += rng.normal(0.0, 0.05, a.shape).astype(a.dtype)
+            blocked = evaluate_dense(model, mesh, collider, 128, weights,
+                                     PhysicsConstants(), seed=seed)
+            with monkeypatch.context() as m:
+                m.setattr(drapefit.rows, "ROW_BLOCK", 1 << 30)
+                one_pass = evaluate_dense(model, mesh, collider, 128, weights,
+                                          PhysicsConstants(), seed=seed)
+            assert blocked.valid_cells == 128 * 128
+            assert repr(blocked) == repr(one_pass)
+
     def test_penetration_of_sunken_plane(self):
         # push the whole cloth plane well inside the sphere: all structures
         # near the sphere's silhouette in UV read as penetrating
