@@ -15,9 +15,12 @@ the nearest-vertex search. The voxel edge is twice the collider's mean edge
 length. Bounds are built lazily for the voxels that queries reach and cached
 on the ``ColliderMesh``: 16 bytes per voxel (an int64 key and a float64
 bound), which stay allocated as long as the collider. The cache assumes the
-collider's arrays never change: treat them as immutable.
+collider's arrays never change: treat them as immutable. Threads may query
+one collider at once: each lookup reads one snapshot of the cache, and new
+voxels are inserted under a lock.
 """
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,8 +150,9 @@ class _VoxelClearance:
         # zero-normal vertices (no incident face) never produce a contact
         self.usable = np.einsum("nd,nd->n", collider.normals, collider.normals) > 0.5
         self.tree = collider.index._tree
-        self.keys = np.empty(0, dtype=np.int64)  # sorted voxel keys
-        self.bounds = np.empty(0)                # clearance bound per key
+        # (sorted voxel keys, clearance bound per key), replaced whole on insert
+        self.table = (np.empty(0, dtype=np.int64), np.empty(0))
+        self._lock = threading.Lock()
 
     def lookup(self, points) -> np.ndarray:
         """Clearance bound of each point's voxel; -inf where none applies."""
@@ -161,24 +165,31 @@ class _VoxelClearance:
         everywhere = packable.all()
         ijk = (cell if everywhere else cell[packable]).astype(np.int64) + _VOXEL_LIMIT
         keys = (ijk[:, 0] << 42) | (ijk[:, 1] << 21) | ijk[:, 2]
-        pos, found = self._find(keys)
+        cached, bounds = self.table
+        pos, found = _find(cached, keys)
         if not found.all():
-            self._add(np.unique(keys[~found]))
-            pos, _ = self._find(keys)
+            cached, bounds = self._add(np.unique(keys[~found]))
+            pos, _ = _find(cached, keys)
         if everywhere:
-            return self.bounds[pos]
+            return bounds[pos]
         bound = np.full(len(points), -np.inf)
-        bound[packable] = self.bounds[pos]
+        bound[packable] = bounds[pos]
         return bound
 
-    def _find(self, keys):
-        if len(self.keys) == 0:
-            return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return pos, self.keys[pos] == keys
-
     def _add(self, keys):
-        """Build and insert the bounds of voxels not yet cached."""
+        """Build and insert the bounds of voxels not yet cached; returns the new table."""
+        with self._lock:
+            cached, bounds = self.table
+            # another thread may have inserted some of them since the lookup
+            keys = keys[~_find(cached, keys)[1]]
+            if len(keys):
+                at = np.searchsorted(cached, keys)
+                self.table = (np.insert(cached, at, keys),
+                              np.insert(bounds, at, self._build(keys)))
+            return self.table
+
+    def _build(self, keys):
+        """Clearance bounds of the voxels with the given keys."""
         mask = (1 << 21) - 1
         ijk = np.stack([keys >> 42, (keys >> 21) & mask, keys & mask], axis=1)
         centre = (ijk - _VOXEL_LIMIT + 0.5) * self.size
@@ -201,9 +212,15 @@ class _VoxelClearance:
                 "kd,kd->k", centre[sel][pairs["i"]] - self.vertices[cand], self.normals[cand]
             )
             np.minimum.at(clear, sel[pairs["i"]], dots)
-        at = np.searchsorted(self.keys, keys)
-        self.keys = np.insert(self.keys, at, keys)
-        self.bounds = np.insert(self.bounds, at, clear - h - slack)
+        return clear - h - slack
+
+
+def _find(cached, keys):
+    """Position of each key in the sorted ``cached`` keys, and whether it is there."""
+    if len(cached) == 0:
+        return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
+    pos = np.minimum(np.searchsorted(cached, keys), len(cached) - 1)
+    return pos, cached[pos] == keys
 
 
 @dataclass

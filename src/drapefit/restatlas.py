@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTriangle, InvalidUvPoint
-from .rows import gather_rows, row_blocks
+from .rows import gather_rows, map_blocks
 
 AREA_EPS = 1e-12          # |signed area| at or below this is degenerate
 CONTAINMENT_TOL = -1e-9   # barycentric coordinates may undershoot by this much
@@ -189,11 +189,12 @@ class TriangleLocator:
         cell_x = lo[tri_rep, 0] + local % sx
         cell_y = lo[tri_rep, 1] + local // sx
         cell_id = cell_y * g + cell_x
-        order = np.lexsort((tri_rep, cell_id))    # cell-major, triangle ascending
-        self._cell_tris = tri_rep[order]
-        sorted_cells = cell_id[order]
-        self._cell_start = np.searchsorted(sorted_cells, np.arange(g * g), side="left")
-        self._cell_end = np.searchsorted(sorted_cells, np.arange(g * g), side="right")
+        # tri_rep ascends, so a stable sort on the cell alone is cell-major
+        # with triangles ascending within each cell
+        self._cell_tris = tri_rep[np.argsort(cell_id, kind="stable")]
+        per_cell = np.bincount(cell_id, minlength=g * g)
+        self._cell_end = np.cumsum(per_cell)
+        self._cell_start = self._cell_end - per_cell
 
     def locate(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Locate each 2D point; returns (triangle index or -1, (B, 3) barycentrics)."""
@@ -248,19 +249,23 @@ class TriangleLocator:
     def rest_positions(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Rest 3D positions for a batch of UV points plus a validity mask.
 
-        The points are located and blended in ``row_blocks``, so the
-        candidate arrays of ``locate`` stay in cache; each point's lookup is
-        independent of the others, so the result is that of one pass.
+        The points are located and blended in ``row_blocks`` through
+        ``map_blocks``, so the candidate arrays of ``locate`` stay in cache
+        and the blocks share the CPUs; each point's lookup is independent of
+        the others, so the result is that of one pass.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         out = np.empty((len(pts), 3), dtype=np.float64)
         valid = np.empty(len(pts), dtype=bool)
-        for rows in row_blocks(len(pts)):
+
+        def block(rows):
             tri, lam = self.locate(pts[rows])
             valid[rows] = tri >= 0
             # an invalid row has tri -1 and lam 0: it reads the last triangle's
             # corners, and its blend (NaN if a corner is not finite) is reset to +0
             out[rows] = np.einsum("kc,kcd->kd", lam, gather_rows(self._rest, tri))
+
+        map_blocks(block, len(pts))
         out[~valid] = 0.0
         return out, valid
 

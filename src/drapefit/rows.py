@@ -4,8 +4,14 @@ The gather and the scatter work on rows (axis 0) and give the same bits as
 their fancy-index forms ``a[rows]`` and ``np.add.at(out, rows, vals)``,
 through numpy paths that are several times faster on multi-dimensional
 arrays. ``row_blocks`` splits a long batch of independent rows into
-cache-sized slices.
+cache-sized slices, and ``map_blocks`` runs a function on those slices
+across the process's CPUs. The slices depend on the row count alone, never
+on the worker count, so the mapped result is the same bits on any machine.
 """
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -15,6 +21,21 @@ import numpy as np
 # for the 64 -> 3 output layer is any block of 5208 rows or fewer, so a block
 # must never shrink towards that size.
 ROW_BLOCK = 8192
+
+# Workers of the ``map_blocks`` pool: the CPUs this process may run on, read
+# once at import. The pool starts its threads on first use.
+POOL_SIZE = len(os.sched_getaffinity(0))
+
+_worker = threading.local()
+
+
+def _mark_worker():
+    _worker.active = True
+
+
+_POOL = ThreadPoolExecutor(
+    max_workers=POOL_SIZE, thread_name_prefix="drapefit-rows", initializer=_mark_worker
+)
 
 
 def gather_rows(a: np.ndarray, rows) -> np.ndarray:
@@ -61,3 +82,25 @@ def row_blocks(n: int):
     count = max(1, n // ROW_BLOCK)
     for k in range(count):
         yield slice(k * ROW_BLOCK, n if k == count - 1 else (k + 1) * ROW_BLOCK)
+
+
+def map_blocks(fn, n: int) -> None:
+    """Call ``fn(rows)`` for every slice ``rows`` of ``row_blocks(n)``; return when all are done.
+
+    ``fn`` must write only the rows it is given, so the slices may run in any
+    order and at once: they run on the module's thread pool of ``POOL_SIZE``
+    workers. They run inline, in order, on the calling thread when there is one slice,
+    when ``POOL_SIZE`` is 1, or when the caller is itself a pool worker, so a
+    nested call can never wait on its own pool. An exception raised by any
+    slice reaches the caller once every slice has finished; the first in
+    slice order wins.
+    """
+    blocks = list(row_blocks(n))
+    if len(blocks) == 1 or POOL_SIZE == 1 or getattr(_worker, "active", False):
+        for rows in blocks:
+            fn(rows)
+        return
+    futures = [_POOL.submit(fn, rows) for rows in blocks]
+    wait(futures)
+    for future in futures:
+        future.result()

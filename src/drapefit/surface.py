@@ -20,7 +20,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .restatlas import GarmentRestMesh, rest_position
-from .rows import gather_rows, row_blocks, scatter_add_rows
+from .rows import gather_rows, map_blocks, scatter_add_rows
 
 DOMAIN_TOL = 1e-12
 CHECKPOINT_MAGIC = "drapefit-surface"
@@ -343,8 +343,9 @@ def forward_batch(model: SurfaceModel, points, record_tape: bool = False):
 
     Returns (displacements (B, 3), tape or None). The tape records exactly
     what ``backward`` needs: bilinear scatter targets and layer activations.
-    Without a tape the rows run in ``row_blocks``, whose activations stay in
-    cache; rows are independent, so the result is the same bits as one pass.
+    Without a tape the rows run in ``row_blocks`` through ``map_blocks``, so
+    each block's activations stay in cache and the blocks share the CPUs;
+    rows are independent, so the result is the same bits as one pass.
     """
     pts = _check_domain(np.atleast_2d(np.asarray(points, dtype=np.float64)))
     if record_tape:
@@ -353,9 +354,12 @@ def forward_batch(model: SurfaceModel, points, record_tape: bool = False):
         out = _mlp_forward(model.mlp, x, activations)
         return out, ForwardTape(pts, grid_idx, grid_w, x, activations)
     out = np.empty((len(pts), model.mlp.layer_dims[-1]), dtype=model.dtype)
-    for rows in row_blocks(len(pts)):
+
+    def block(rows):
         x, _, _ = _encode_batch(model, pts[rows])
         out[rows] = _mlp_forward(model.mlp, x)
+
+    map_blocks(block, len(pts))
     return out, None
 
 

@@ -8,6 +8,7 @@ every test run.
 """
 
 import importlib.util
+import threading
 from pathlib import Path
 
 import drapefit as df
@@ -56,3 +57,42 @@ def test_every_shimmed_layer_is_called(tmp_path):
     assert tracing.shims_removed()
     names = {name for _, _, name, _ in tracing.SHIMS}
     assert names <= set(tracer.self_s), sorted(names - set(tracer.self_s))
+
+
+def test_shimmed_layers_run_on_the_calling_thread(monkeypatch):
+    # the tracer keeps one span stack, so a shimmed layer called from a
+    # row-block worker would nest its span under whatever span is open; only
+    # the unshimmed insides of a block may leave the calling thread
+    import drapefit.rows
+    import drapefit.surface
+
+    monkeypatch.setattr(drapefit.rows, "POOL_SIZE", max(2, drapefit.rows.POOL_SIZE))
+    calls = []  # (shim target, thread)
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr, _, _ in load_tracing().SHIMS:
+        monkeypatch.setattr(owner, attr, recording(f"{owner.__name__}.{attr}", vars(owner)[attr]))
+    block_threads = set()
+    encode_batch = drapefit.surface._encode_batch
+
+    def recording_encode(model, pts):
+        block_threads.add(threading.get_ident())
+        return encode_batch(model, pts)
+
+    monkeypatch.setattr(drapefit.surface, "_encode_batch", recording_encode)
+    model = trainer.TrainConfig(epochs=1, seed=0).build_model()
+    # 64² dense centres are 28,672 points: three row blocks per pass
+    trainer.evaluate_dense(model, df.square_cloth(16), df.icosphere(3, 0.3, (0.5, 0.5, -0.3)),
+                           64, df.LossWeights(), df.PhysicsConstants())
+    me = threading.get_ident()
+    assert block_threads - {me}, "the row blocks never left the calling thread"
+    called = {name for name, _ in calls}
+    assert {"drapefit.trainer.evaluate_dense", "drapefit.trainer.evaluate_structure_batch",
+            "drapefit.losses.forward_batch", "TriangleLocator.rest_positions",
+            "SpatialIndex.nearest"} <= called, sorted(called)
+    assert {name for name, thread in calls if thread != me} == set()

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -423,3 +426,34 @@ class TestContacts:
         assert (results[0][1] >= 0).any()
         for got, want in zip(*results):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_threads_sharing_a_cold_collider_get_the_serial_contacts(self):
+        # four threads fill one collider's voxel cache at once in many small
+        # queries, switching often; each must get what it gets alone
+        rng = np.random.default_rng(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for _ in range(5):
+                sets = [rng.uniform(-0.5, 0.5, (30, 100, 3)) for _ in range(4)]
+                want = [icosphere(3, 0.3).contacts(pts.reshape(-1, 3), 0.01) for pts in sets]
+                collider = icosphere(3, 0.3)
+                got = [[] for _ in sets]
+
+                def query(k):
+                    for pts in sets[k]:
+                        got[k].append(collider.contacts(pts, 0.01))
+
+                threads = [threading.Thread(target=query, args=(k,)) for k in range(len(sets))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                for parts, (want_viol, want_nn) in zip(got, want):
+                    assert len(parts) == 30
+                    viol, nn = (np.concatenate(a) for a in zip(*parts))
+                    assert viol.tobytes() == want_viol.tobytes()
+                    assert np.array_equal(nn, want_nn)
+        finally:
+            sys.setswitchinterval(interval)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from drapefit import (
     square_cloth_with_hole,
 )
 from drapefit.errors import DegenerateTriangle, InvalidUvPoint
-from drapefit.restatlas import dump_atlas_png
+import drapefit.rows
+from drapefit.restatlas import TriangleLocator, dump_atlas_png
 from drapefit.rows import ROW_BLOCK
 
 
@@ -452,3 +455,78 @@ class TestBlockedLookup:
         tri, _ = loc.locate(pts)
         for p, t in zip(pts, tri):
             assert (int(t) if t >= 0 else None) == first_containing_triangle(mesh, p), p
+
+    @pytest.mark.parametrize("name", ["holed", "infinite"])
+    def test_pooled_equals_inline(self, monkeypatch, name):
+        mesh = square_cloth_with_hole(33)
+        if name == "infinite":
+            far = mesh.vertices.copy()
+            far[mesh.triangles[-1, 0], 0] = np.inf
+            mesh = GarmentRestMesh(far, mesh.uvs, mesh.triangles)
+        loc = mesh.locator()
+        locate = loc.locate
+        threads = set()
+
+        def recording_locate(points):
+            threads.add(threading.get_ident())
+            return locate(points)
+
+        monkeypatch.setattr(loc, "locate", recording_locate)
+        rng = np.random.default_rng(5)
+        pts_all = np.concatenate([rng.uniform(-0.05, 1.05, (114689, 2)), query_points(mesh)])
+        pts_all = pts_all[rng.permutation(len(pts_all))]
+        # non-finite rows in every block, not only the few of query_points
+        spread = np.arange(7, len(pts_all), 4999)
+        pts_all[spread] = np.array([[np.nan, 0.5], [0.5, np.inf], [-np.inf, np.nan]])[
+            spread % 3
+        ]
+        for n in (0, 1, 16383, 16384, 16385, 114688, 114689):
+            pts = pts_all[:n]
+            with monkeypatch.context() as m:
+                m.setattr(drapefit.rows, "POOL_SIZE", 1)
+                threads.clear()
+                want, want_valid = loc.rest_positions(pts)
+                assert threads <= {threading.get_ident()}
+            with monkeypatch.context() as m:
+                # at least two workers, also where the process may use one CPU only
+                m.setattr(drapefit.rows, "POOL_SIZE", max(2, drapefit.rows.POOL_SIZE))
+                threads.clear()
+                pos, valid = loc.rest_positions(pts)
+                assert (threads <= {threading.get_ident()}) == (n < 2 * ROW_BLOCK), n
+            if n > 1000:
+                assert not valid.all() and valid.any()
+                assert not np.isfinite(pts[~valid]).all()
+            assert np.array_equal(valid, want_valid), n
+            assert pos.tobytes() == want.tobytes(), n
+
+
+class TestLocatorBuild:
+    @pytest.mark.parametrize(
+        "mesh",
+        [square_cloth(256), square_cloth_with_hole(64), square_cloth(17)],
+        ids=["cloth256", "holed64", "cloth17"],
+    )
+    def test_cell_arrays_equal_the_lexsort_build(self, mesh):
+        # the former build: a lexsort on (cell, triangle) and two searchsorted
+        # passes over the sorted cells
+        loc = TriangleLocator(mesh)
+        g = loc.bins
+        tri_uv = mesh.uvs[mesh.triangles]
+        lo = np.clip((tri_uv.min(axis=1) * g).astype(np.int64), 0, g - 1)
+        hi = np.clip((tri_uv.max(axis=1) * g).astype(np.int64), 0, g - 1)
+        tri_rep, cell_id = [], []
+        for t in range(len(mesh.triangles)):
+            for cy in range(lo[t, 1], hi[t, 1] + 1):
+                for cx in range(lo[t, 0], hi[t, 0] + 1):
+                    tri_rep.append(t)
+                    cell_id.append(cy * g + cx)
+        tri_rep, cell_id = np.array(tri_rep), np.array(cell_id)
+        order = np.lexsort((tri_rep, cell_id))
+        sorted_cells = cell_id[order]
+        cells = np.arange(g * g)
+        for got, want in (
+            (loc._cell_tris, tri_rep[order]),
+            (loc._cell_start, np.searchsorted(sorted_cells, cells, side="left")),
+            (loc._cell_end, np.searchsorted(sorted_cells, cells, side="right")),
+        ):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -25,7 +26,8 @@ from drapefit.errors import (
     OutOfDomain,
     ShapeMismatch,
 )
-from drapefit.rows import ROW_BLOCK, gather_rows, row_blocks
+import drapefit.rows
+from drapefit.rows import ROW_BLOCK, gather_rows, map_blocks, row_blocks
 from drapefit.surface import ENCODING_IDENTITY, ENCODING_POSITIONAL
 from drapefit.trainer import default_bench_variants
 
@@ -622,6 +624,83 @@ class TestRowBlocks:
                     a = np.maximum(a, 0)
             assert out.dtype == a.dtype == np.float32 and out.shape == (n, 3)
             assert out.tobytes() == a.tobytes(), n
+
+    @staticmethod
+    def _pooled(monkeypatch):
+        # at least two workers, so the blocks leave the calling thread even
+        # where the process may use one CPU only
+        monkeypatch.setattr(drapefit.rows, "POOL_SIZE", max(2, drapefit.rows.POOL_SIZE))
+
+    @pytest.mark.parametrize("encoding", ["multigrid", ENCODING_IDENTITY, ENCODING_POSITIONAL])
+    def test_pooled_forward_equals_inline(self, monkeypatch, encoding):
+        import drapefit.surface
+
+        model = self._drape_model(encoding)
+        encode_batch = drapefit.surface._encode_batch
+        threads = set()
+
+        def recording_encode(m, pts):
+            threads.add(threading.get_ident())
+            return encode_batch(m, pts)
+
+        monkeypatch.setattr(drapefit.surface, "_encode_batch", recording_encode)
+        pts_all = np.random.default_rng(8).random((114689, 2))
+        pts_all[:4] = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+        for n in (0, 1, 16383, 16384, 16385, 114688, 114689):
+            pts = pts_all[:n]
+            with monkeypatch.context() as m:
+                m.setattr(drapefit.rows, "POOL_SIZE", 1)
+                threads.clear()
+                inline, _ = forward_batch(model, pts)
+                assert threads == {threading.get_ident()}
+            with monkeypatch.context() as m:
+                self._pooled(m)
+                threads.clear()
+                pooled, _ = forward_batch(model, pts)
+                # one block stays on the calling thread, several leave it
+                assert (threads == {threading.get_ident()}) == (n < 2 * ROW_BLOCK), n
+            assert pooled.shape == inline.shape == (n, 3)
+            assert pooled.tobytes() == inline.tobytes(), n
+
+    def test_exception_in_a_block_reaches_the_caller(self, monkeypatch):
+        self._pooled(monkeypatch)
+
+        class BlockFailed(Exception):
+            pass
+
+        done = []
+
+        def block(rows):
+            if rows.start == ROW_BLOCK:
+                raise BlockFailed(rows.start)
+            done.append(rows.start)
+
+        with pytest.raises(BlockFailed) as info:
+            map_blocks(block, 4 * ROW_BLOCK)
+        assert info.value.args == (ROW_BLOCK,)
+        # every other block ran to its end before the exception was raised
+        assert sorted(done) == [0, 2 * ROW_BLOCK, 3 * ROW_BLOCK]
+
+    def test_a_nested_call_runs_inline_on_its_worker(self, monkeypatch):
+        self._pooled(monkeypatch)
+        n = drapefit.rows.POOL_SIZE * 2 * ROW_BLOCK
+        nested = []  # (thread of an outer block, threads of its inner blocks)
+
+        def outer(rows):
+            inner = []
+            map_blocks(lambda r: inner.append(threading.get_ident()), n)
+            nested.append((threading.get_ident(), inner))
+
+        # with every worker busy on an outer block, a nested call that waited
+        # on the pool would never return
+        caller = threading.Thread(target=map_blocks, args=(outer, n), daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "nested map_blocks deadlocked"
+        assert len(nested) == n // ROW_BLOCK
+        for worker, inner in nested:
+            assert worker != caller.ident
+            assert inner == [worker] * (n // ROW_BLOCK)
 
 
 class TestDomainCheck:

@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -508,6 +509,46 @@ class TestEvaluateDense:
                                           PhysicsConstants(), seed=seed)
             assert blocked.valid_cells == 128 * 128
             assert repr(blocked) == repr(one_pass)
+
+    def test_concurrent_callers_get_the_serial_reports(self, monkeypatch):
+        # two requests at once share the row-block pool; 64² centres are
+        # 28,672 points, three blocks per forward pass and per lookup
+        import drapefit.rows
+
+        monkeypatch.setattr(drapefit.rows, "POOL_SIZE", max(2, drapefit.rows.POOL_SIZE))
+        mesh = square_cloth(32)
+        weights = LossWeights(0.005, 0.0005, 2.0, 1e7)
+        rng = np.random.default_rng(6)
+        models = []
+        for seed in (1, 2):
+            model = TrainConfig(epochs=1, seed=seed).build_model()
+            for a in model.param_arrays():
+                a += rng.normal(0.0, 0.05, a.shape).astype(a.dtype)
+            models.append(model)
+
+        def request(model, collider, seed):
+            return evaluate_dense(model, mesh, collider, 64, weights, PhysicsConstants(),
+                                  seed=seed)
+
+        def sphere():
+            return icosphere(3, 0.3, (0.5, 0.5, -0.31))
+
+        serial = [repr(request(model, sphere(), seed)) for seed, model in enumerate(models)]
+        for _ in range(20):
+            # one fresh collider for both, so both fill its voxel cache at once
+            collider = sphere()
+            got = [None, None]
+
+            def call(k):
+                got[k] = repr(request(models[k], collider, k))
+
+            threads = [threading.Thread(target=call, args=(k,), daemon=True) for k in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert got == serial
 
     def test_penetration_of_sunken_plane(self):
         # push the whole cloth plane well inside the sphere: all structures
