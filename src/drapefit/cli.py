@@ -58,7 +58,7 @@ def _garment_from_args(args, cfg=None):
 
 def cmd_atlas(args) -> int:
     mesh = _garment_from_args(args)
-    atlas = build_atlas(mesh, args.resolution, threads=max(1, args.threads))
+    atlas = build_atlas(mesh, args.resolution)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "atlas.npz")
@@ -225,7 +225,6 @@ def build_parser() -> _Parser:
     p.add_argument("--garment", required=True, help="garment OBJ with UVs")
     p.add_argument("--resolution", type=int, default=1024)
     p.add_argument("--png", action="store_true", help="also dump a debug PNG")
-    p.add_argument("--threads", type=int, default=1, help="rasterization worker threads")
     _add_common(p)
     p.set_defaults(func=cmd_atlas)
 

@@ -9,17 +9,16 @@ structure.
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
 from .collider import ColliderMesh, icosphere, prism, torus
-from .errors import ConfigError, IoFailure
-from .losses import LossWeights, PhysicsConstants
+from .errors import ConfigError, InconsistentDims, IoFailure
 from .objio import read_obj
 from .restatlas import GarmentRestMesh, square_cloth
-from .sampler import SamplerConfig
-from .surface import ENCODING_MULTIGRID, EncoderConfig
+from .surface import ENCODING_MULTIGRID
 from .trainer import TrainConfig
 
 
@@ -114,7 +113,54 @@ def garment_from_obj(data) -> GarmentRestMesh:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# the key table
+
+# One row per INI section and the object that holds its values, as a dotted
+# path from the RunConfig ("" is the RunConfig itself), with the section's
+# keys in file order. A key names its attribute unless given as a
+# (key, attribute) pair. The encoder's grid keys have a row of their own:
+# only the multigrid encoding has a grid, and a config without one writes none.
+_TABLE = (
+    ("run", "", ("out",)),
+    ("garment", "garment", ("source", "resolution", "path")),
+    ("collider", "collider", (
+        "source", "path", "subdivisions", "radius", "center", "major_radius",
+        "minor_radius", "major_segments", "minor_segments", "side", "length",
+        "axis_segments", "side_segments",
+    )),
+    ("train", "train", (
+        "epochs", "learning_rate", "optimizer", "sampling_mode", "structure_side",
+        "strain_edges", "strain_form", "seed", "convergence_window",
+        "convergence_tol", "early_stop", "checkpoint_every", "max_resample",
+        "dtype", "dump_pdf_every",
+    )),
+    ("weights", "train.weights", ("strain", "bend", "gravity", "collision")),
+    ("physics", "train.consts", (
+        ("mass", "mass_per_point"), "gravity", "gravity_axis", "collision_epsilon",
+    )),
+    ("sampler", "train.sampler", (
+        "mu", "gamma", "pdf_rows", "pdf_cols", "n_points", "lloyd_iterations",
+        "min_spacing", "pdf_losses",
+    )),
+    ("encoder", "train", ("encoding", "num_frequencies")),
+    ("encoder", "train.encoder", ("layer_resolutions", "feature_dim")),
+    ("mlp", "train", (("hidden", "mlp_hidden"), "activation")),
+    ("export", "export", ("resolution",)),
+    ("bench", "bench", (
+        "threshold", "learning_rate", "optimizer", "batch_size", "max_epochs",
+        "eval_every", "eval_resolution",
+    )),
+)
+
+
+def _rows(cfg: RunConfig):
+    """(section, holder, key, attribute) for every key of the table; the
+    holder is None for the grid keys of a config without a grid."""
+    for section, path, keys in _TABLE:
+        holder = attrgetter(path)(cfg) if path else cfg
+        for key in keys:
+            key, attr = (key, key) if isinstance(key, str) else key
+            yield section, holder, key, attr
 
 
 def _parse_bool(text: str) -> bool:
@@ -126,16 +172,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_int_tuple(text: str) -> tuple:
-    return tuple(int(t.strip()) for t in text.split(",") if t.strip())
-
-
-def _parse_float_tuple(text: str) -> tuple:
-    return tuple(float(t.strip()) for t in text.split(",") if t.strip())
-
-
-def _parse_str_tuple(text: str) -> tuple:
-    return tuple(t.strip() for t in text.split(",") if t.strip())
+def _parser(default):
+    """Text-to-value parser chosen by the type of a key's default; a tuple is
+    comma-separated, its items typed as the default's first item."""
+    if isinstance(default, tuple):
+        item = _parser(default[0])
+        return lambda text: tuple(item(t.strip()) for t in text.split(",") if t.strip())
+    if isinstance(default, bool):  # a bool is also an int
+        return _parse_bool
+    return type(default)
 
 
 def _fmt(value) -> str:
@@ -146,42 +191,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-class _SectionReader:
-    def __init__(self, parser, section, errors):
-        self.items = dict(parser.items(section)) if parser.has_section(section) else {}
-        self.section = section
-        self.errors = errors
-
-    def get(self, key, parse, default):
-        if key not in self.items:
-            return default
-        raw = self.items.pop(key)
-        try:
-            return parse(raw)
-        except (ValueError, TypeError) as exc:
-            self.errors.append(f"[{self.section}] {key}: {exc}")
-            return default
-
-    def finish(self):
-        for key in self.items:
-            self.errors.append(f"[{self.section}] unknown key {key!r}")
-
-
-KNOWN_SECTIONS = (
-    "run",
-    "garment",
-    "collider",
-    "train",
-    "weights",
-    "physics",
-    "sampler",
-    "encoder",
-    "mlp",
-    "export",
-    "bench",
-)
 
 
 def load_config(path) -> RunConfig:
@@ -196,131 +205,34 @@ def load_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
-    errors: list = []
-    for section in parser.sections():
-        if section not in KNOWN_SECTIONS:
-            errors.append(f"unknown section [{section}]")
-
+    known = {section for section, _, _ in _TABLE}
+    found = {s: dict(parser.items(s)) for s in parser.sections() if s in known}
+    errors = [f"unknown section [{s}]" for s in parser.sections() if s not in known]
     cfg = RunConfig()
-    r = _SectionReader(parser, "run", errors)
-    cfg.out = r.get("out", str, cfg.out)
-    r.finish()
+    for section, holder, key, attr in _rows(cfg):
+        raw = found.get(section, {}).pop(key, None)
+        if raw is None:
+            continue
+        try:
+            setattr(holder, attr, _parser(getattr(holder, attr))(raw))
+        except ValueError as exc:
+            errors.append(f"[{section}] {key}: {exc}")
+    for section, items in found.items():
+        errors.extend(f"[{section}] unknown key {key!r}" for key in items)
 
-    g = _SectionReader(parser, "garment", errors)
-    cfg.garment.source = g.get("source", str, cfg.garment.source)
-    cfg.garment.resolution = g.get("resolution", int, cfg.garment.resolution)
-    cfg.garment.path = g.get("path", str, cfg.garment.path)
-    g.finish()
-
-    c = _SectionReader(parser, "collider", errors)
-    sp = cfg.collider
-    sp.source = c.get("source", str, sp.source)
-    sp.path = c.get("path", str, sp.path)
-    sp.subdivisions = c.get("subdivisions", int, sp.subdivisions)
-    sp.radius = c.get("radius", float, sp.radius)
-    sp.center = c.get("center", _parse_float_tuple, sp.center)
-    sp.major_radius = c.get("major_radius", float, sp.major_radius)
-    sp.minor_radius = c.get("minor_radius", float, sp.minor_radius)
-    sp.major_segments = c.get("major_segments", int, sp.major_segments)
-    sp.minor_segments = c.get("minor_segments", int, sp.minor_segments)
-    sp.side = c.get("side", float, sp.side)
-    sp.length = c.get("length", float, sp.length)
-    sp.axis_segments = c.get("axis_segments", int, sp.axis_segments)
-    sp.side_segments = c.get("side_segments", int, sp.side_segments)
-    c.finish()
-
-    t = _SectionReader(parser, "train", errors)
+    # rebuilt so that their constructor checks see the values read
     tc = cfg.train
-    tc.epochs = t.get("epochs", int, tc.epochs)
-    tc.learning_rate = t.get("learning_rate", float, tc.learning_rate)
-    tc.optimizer = t.get("optimizer", str, tc.optimizer)
-    tc.sampling_mode = t.get("sampling_mode", str, tc.sampling_mode)
-    tc.structure_side = t.get("structure_side", float, tc.structure_side)
-    tc.strain_edges = t.get("strain_edges", str, tc.strain_edges)
-    tc.strain_form = t.get("strain_form", str, tc.strain_form)
-    tc.seed = t.get("seed", int, tc.seed)
-    tc.convergence_window = t.get("convergence_window", int, tc.convergence_window)
-    tc.convergence_tol = t.get("convergence_tol", float, tc.convergence_tol)
-    tc.early_stop = t.get("early_stop", _parse_bool, tc.early_stop)
-    tc.checkpoint_every = t.get("checkpoint_every", int, tc.checkpoint_every)
-    tc.max_resample = t.get("max_resample", int, tc.max_resample)
-    tc.dtype = t.get("dtype", str, tc.dtype)
-    tc.dump_pdf_every = t.get("dump_pdf_every", int, tc.dump_pdf_every)
-    t.finish()
-
-    w = _SectionReader(parser, "weights", errors)
-    tc.weights = LossWeights(
-        strain=w.get("strain", float, tc.weights.strain),
-        bend=w.get("bend", float, tc.weights.bend),
-        gravity=w.get("gravity", float, tc.weights.gravity),
-        collision=w.get("collision", float, tc.weights.collision),
-    )
-    w.finish()
-
-    p = _SectionReader(parser, "physics", errors)
     try:
-        tc.consts = PhysicsConstants(
-            mass_per_point=p.get("mass", float, tc.consts.mass_per_point),
-            gravity=p.get("gravity", float, tc.consts.gravity),
-            gravity_axis=p.get("gravity_axis", _parse_float_tuple, tc.consts.gravity_axis),
-            collision_epsilon=p.get(
-                "collision_epsilon", float, tc.consts.collision_epsilon
-            ),
-        )
+        tc.consts = replace(tc.consts)
     except ValueError as exc:
         errors.append(f"[physics] {exc}")
-    p.finish()
-
-    s = _SectionReader(parser, "sampler", errors)
-    sc = tc.sampler
-    tc.sampler = SamplerConfig(
-        mu=s.get("mu", float, sc.mu),
-        gamma=s.get("gamma", float, sc.gamma),
-        pdf_rows=s.get("pdf_rows", int, sc.pdf_rows),
-        pdf_cols=s.get("pdf_cols", int, sc.pdf_cols),
-        n_points=s.get("n_points", int, sc.n_points),
-        lloyd_iterations=s.get("lloyd_iterations", int, sc.lloyd_iterations),
-        min_spacing=s.get("min_spacing", float, sc.min_spacing),
-        pdf_losses=s.get("pdf_losses", _parse_str_tuple, sc.pdf_losses),
-    )
-    s.finish()
-
-    e = _SectionReader(parser, "encoder", errors)
-    tc.encoding = e.get("encoding", str, tc.encoding)
-    layer_res = e.get("layer_resolutions", _parse_int_tuple, None)
-    feature_dim = e.get("feature_dim", int, None)
-    tc.num_frequencies = e.get("num_frequencies", int, tc.num_frequencies)
     if tc.encoding == ENCODING_MULTIGRID:
         try:
-            tc.encoder = EncoderConfig(
-                layer_res if layer_res is not None else tc.encoder.layer_resolutions,
-                feature_dim if feature_dim is not None else tc.encoder.feature_dim,
-            )
-        except Exception as exc:
+            tc.encoder = replace(tc.encoder)
+        except InconsistentDims as exc:
             errors.append(f"[encoder] {exc}")
     else:
         tc.encoder = None
-    e.finish()
-
-    m = _SectionReader(parser, "mlp", errors)
-    tc.mlp_hidden = m.get("hidden", _parse_int_tuple, tc.mlp_hidden)
-    tc.activation = m.get("activation", str, tc.activation)
-    m.finish()
-
-    x = _SectionReader(parser, "export", errors)
-    cfg.export.resolution = x.get("resolution", int, cfg.export.resolution)
-    x.finish()
-
-    b = _SectionReader(parser, "bench", errors)
-    bs = cfg.bench
-    bs.threshold = b.get("threshold", float, bs.threshold)
-    bs.learning_rate = b.get("learning_rate", float, bs.learning_rate)
-    bs.optimizer = b.get("optimizer", str, bs.optimizer)
-    bs.batch_size = b.get("batch_size", int, bs.batch_size)
-    bs.max_epochs = b.get("max_epochs", int, bs.max_epochs)
-    bs.eval_every = b.get("eval_every", int, bs.eval_every)
-    bs.eval_resolution = b.get("eval_resolution", int, bs.eval_resolution)
-    b.finish()
 
     errors.extend(_structural_problems(cfg))
     if errors:
@@ -343,95 +255,29 @@ def _structural_problems(cfg: RunConfig) -> list:
         errors.append(f"[collider] path does not exist: {cfg.collider.path!r}")
     if cfg.export.resolution < 2:
         errors.append("[export] resolution must be >= 2")
-    if cfg.bench.optimizer not in ("sgd", "adam"):
+    bench = cfg.bench
+    if bench.optimizer not in ("sgd", "adam"):
         errors.append("[bench] optimizer must be sgd or adam")
+    for name in ("batch_size", "eval_every", "eval_resolution"):
+        if getattr(bench, name) < 1:
+            errors.append(f"[bench] {name} must be >= 1")
+    if bench.max_epochs < 0:
+        errors.append("[bench] max_epochs must be >= 0")
+    for name in ("learning_rate", "threshold"):
+        value = getattr(bench, name)
+        if not (value > 0 and np.isfinite(value)):
+            errors.append(f"[bench] {name} must be positive and finite")
     return errors
 
 
 def save_config(cfg: RunConfig, path) -> None:
-    """Write the fully normalized configuration (all defaults materialized)."""
+    """Write every key of the table, defaults included, in table order."""
+    sections: dict = {}
+    for section, holder, key, attr in _rows(cfg):
+        if holder is not None:
+            sections.setdefault(section, {})[key] = _fmt(getattr(holder, attr))
     parser = configparser.ConfigParser(interpolation=None)
-    tc = cfg.train
-    parser["run"] = {"out": cfg.out}
-    parser["garment"] = {
-        "source": cfg.garment.source,
-        "resolution": _fmt(cfg.garment.resolution),
-        "path": cfg.garment.path,
-    }
-    sp = cfg.collider
-    parser["collider"] = {
-        "source": sp.source,
-        "path": sp.path,
-        "subdivisions": _fmt(sp.subdivisions),
-        "radius": _fmt(sp.radius),
-        "center": _fmt(sp.center),
-        "major_radius": _fmt(sp.major_radius),
-        "minor_radius": _fmt(sp.minor_radius),
-        "major_segments": _fmt(sp.major_segments),
-        "minor_segments": _fmt(sp.minor_segments),
-        "side": _fmt(sp.side),
-        "length": _fmt(sp.length),
-        "axis_segments": _fmt(sp.axis_segments),
-        "side_segments": _fmt(sp.side_segments),
-    }
-    parser["train"] = {
-        "epochs": _fmt(tc.epochs),
-        "learning_rate": _fmt(tc.learning_rate),
-        "optimizer": tc.optimizer,
-        "sampling_mode": tc.sampling_mode,
-        "structure_side": _fmt(tc.structure_side),
-        "strain_edges": tc.strain_edges,
-        "strain_form": tc.strain_form,
-        "seed": _fmt(tc.seed),
-        "convergence_window": _fmt(tc.convergence_window),
-        "convergence_tol": _fmt(tc.convergence_tol),
-        "early_stop": _fmt(tc.early_stop),
-        "checkpoint_every": _fmt(tc.checkpoint_every),
-        "max_resample": _fmt(tc.max_resample),
-        "dtype": tc.dtype,
-        "dump_pdf_every": _fmt(tc.dump_pdf_every),
-    }
-    parser["weights"] = {k: _fmt(v) for k, v in tc.weights.as_dict().items()}
-    parser["physics"] = {
-        "mass": _fmt(tc.consts.mass_per_point),
-        "gravity": _fmt(tc.consts.gravity),
-        "gravity_axis": _fmt(tc.consts.gravity_axis),
-        "collision_epsilon": _fmt(tc.consts.collision_epsilon),
-    }
-    sc = tc.sampler
-    parser["sampler"] = {
-        "mu": _fmt(sc.mu),
-        "gamma": _fmt(sc.gamma),
-        "pdf_rows": _fmt(sc.pdf_rows),
-        "pdf_cols": _fmt(sc.pdf_cols),
-        "n_points": _fmt(sc.n_points),
-        "lloyd_iterations": _fmt(sc.lloyd_iterations),
-        "min_spacing": _fmt(sc.min_spacing),
-        "pdf_losses": _fmt(sc.pdf_losses),
-    }
-    enc = {
-        "encoding": tc.encoding,
-        "num_frequencies": _fmt(tc.num_frequencies),
-    }
-    if tc.encoder is not None:
-        enc["layer_resolutions"] = _fmt(tc.encoder.layer_resolutions)
-        enc["feature_dim"] = _fmt(tc.encoder.feature_dim)
-    parser["encoder"] = enc
-    parser["mlp"] = {
-        "hidden": _fmt(tc.mlp_hidden),
-        "activation": tc.activation,
-    }
-    parser["export"] = {"resolution": _fmt(cfg.export.resolution)}
-    bs = cfg.bench
-    parser["bench"] = {
-        "threshold": _fmt(bs.threshold),
-        "learning_rate": _fmt(bs.learning_rate),
-        "optimizer": bs.optimizer,
-        "batch_size": _fmt(bs.batch_size),
-        "max_epochs": _fmt(bs.max_epochs),
-        "eval_every": _fmt(bs.eval_every),
-        "eval_resolution": _fmt(bs.eval_resolution),
-    }
+    parser.read_dict(sections)
     try:
         with open(path, "w") as fh:
             parser.write(fh)

@@ -340,43 +340,29 @@ class RestAtlas:
         )
 
 
-def build_atlas(mesh: GarmentRestMesh, resolution: int = 1024, threads: int = 1) -> RestAtlas:
+def build_atlas(mesh: GarmentRestMesh, resolution: int = 1024) -> RestAtlas:
     """Rasterize rest positions at every valid pixel center of an R x R grid.
 
-    Rows may be rasterized in parallel (threads > 1); the output does not
-    depend on the schedule because row blocks are disjoint.
+    All R^2 pixel centers go through one ``rest_positions`` call, whose row
+    blocks share the CPUs; each lookup is independent of the others.
     """
     if resolution < 2:
         raise ValueError("atlas resolution must be >= 2")
-    loc = mesh.locator()
     lo = mesh.vertices.min(axis=0)
     extent = float((mesh.vertices.max(axis=0) - lo).max())
     scale = 1.0 / extent if extent > 0 else 1.0
 
     R = resolution
-    centers_u = (np.arange(R) + 0.5) / R
-    positions = np.zeros((R, R, 3), dtype=np.float64)
-    mask = np.zeros((R, R), dtype=bool)
-
-    def fill_rows(i0: int, i1: int) -> None:
-        for i in range(i0, i1):
-            v = (i + 0.5) / R
-            row_pts = np.stack([centers_u, np.full(R, v)], axis=1)
-            pos, valid = loc.rest_positions(row_pts)
-            mask[i] = valid
-            positions[i, valid] = (pos[valid] - lo) * scale
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = np.linspace(0, R, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda k: fill_rows(bounds[k], bounds[k + 1]), range(threads)))
-    else:
-        fill_rows(0, R)
-
+    centers = (np.arange(R) + 0.5) / R
+    u, v = np.meshgrid(centers, centers)  # row i holds v = centers[i]
+    pos, valid = mesh.locator().rest_positions(np.stack([u.ravel(), v.ravel()], axis=1))
+    positions = np.where(valid[:, None], (pos - lo) * scale, 0.0)
     return RestAtlas(
-        resolution=R, positions=positions, mask=mask, scale=scale, offset=lo.copy()
+        resolution=R,
+        positions=positions.reshape(R, R, 3),
+        mask=valid.reshape(R, R),
+        scale=scale,
+        offset=lo.copy(),
     )
 
 

@@ -143,7 +143,7 @@ def _advance_past_zero(indices: np.ndarray, mass: np.ndarray) -> np.ndarray:
     # a CDF plateau boundary exactly; step forward to the next massive entry
     out = indices.copy()
     for _ in range(mass.shape[-1]):
-        bad = mass[np.arange(len(out)), out] == 0.0 if mass.ndim == 2 else mass[out] == 0.0
+        bad = mass[np.arange(len(out)), out] == 0.0
         if not bad.any():
             break
         out[bad] = np.minimum(out[bad] + 1, mass.shape[-1] - 1)

@@ -59,16 +59,6 @@ class EncoderConfig:
         if self.feature_dim < 1:
             raise InconsistentDims("feature_dim must be >= 1")
 
-    @classmethod
-    def from_max_resolution(cls, n_max: int, layers: int, feature_dim: int = 3):
-        """Halving ladder n_max//2, n_max//4, ...; layers must fit log2(n_max)."""
-        if layers > int(np.floor(np.log2(n_max))):
-            raise InconsistentDims("too many layers for the base resolution")
-        return cls(
-            tuple(n_max // (2 ** (l + 1)) for l in range(layers)),
-            feature_dim,
-        )
-
     @property
     def grid_widths(self) -> tuple:
         return (self.feature_dim,) * len(self.layer_resolutions)

@@ -652,26 +652,25 @@ def _run_epochs(state, config, mesh, collider):
                     state.pdf.probs,
                     os.path.join(config.out_dir, f"pdf_epoch{state.epoch:06d}"),
                 )
-            done = state.epoch >= config.epochs
-            periodic = (
-                config.checkpoint_every > 0
-                and state.epoch % config.checkpoint_every == 0
-            )
-            if config.out_dir is not None and (periodic or done):
-                prefix = os.path.join(config.out_dir, f"epoch{state.epoch:06d}")
-                save_train_state(state, prefix)
-                paths.append(prefix + ".ckpt")
-            if (
+            converged = (
                 config.early_stop
                 and len(state.history) >= 2 * config.convergence_window
                 and detect_convergence(
                     state.totals(), config.convergence_window, config.convergence_tol
                 )
-            ):
-                if config.out_dir is not None and not paths:
-                    prefix = os.path.join(config.out_dir, f"epoch{state.epoch:06d}")
-                    save_train_state(state, prefix)
-                    paths.append(prefix + ".ckpt")
+            )
+            periodic = (
+                config.checkpoint_every > 0
+                and state.epoch % config.checkpoint_every == 0
+            )
+            # the last epoch run is always saved, whether the run ends here
+            # by its epoch count or by convergence
+            last = converged or state.epoch >= config.epochs
+            if config.out_dir is not None and (periodic or last):
+                prefix = os.path.join(config.out_dir, f"epoch{state.epoch:06d}")
+                save_train_state(state, prefix)
+                paths.append(prefix + ".ckpt")
+            if converged:
                 break
     finally:
         if csv_fh is not None:
@@ -790,6 +789,11 @@ class BenchVariant:
         return param_count(self.encoder, self.mlp_dims)
 
 
+# largest spread of parameter counts among benchmark variants, as a
+# fraction of the smallest
+BUDGET_TOLERANCE = 0.005
+
+
 def default_bench_variants() -> list:
     """The three matched-budget architectures compared by the benchmark."""
     return [
@@ -824,20 +828,19 @@ def supervised_bench(
     eval_every: int = 25,
     eval_resolution: int = 64,
     seed: int = 0,
-    budget_tolerance: float = 0.005,
     progress=None,
 ) -> list:
     """Train each architecture variant on the analytic target until its dense
     MSE drops below ``threshold``; report epochs-to-threshold and wall time.
 
-    All variants must sit within ``budget_tolerance`` of one another in
+    All variants must sit within ``BUDGET_TOLERANCE`` of one another in
     parameter count, else BudgetMismatch.
     """
     variants = variants if variants is not None else default_bench_variants()
     counts = [v.count() for v in variants]
-    if max(counts) - min(counts) > budget_tolerance * min(counts):
+    if max(counts) - min(counts) > BUDGET_TOLERANCE * min(counts):
         raise BudgetMismatch(
-            f"parameter budgets differ by more than {budget_tolerance:.1%}: {counts}"
+            f"parameter budgets differ by more than {BUDGET_TOLERANCE:.1%}: {counts}"
         )
 
     axis = (np.arange(eval_resolution) + 0.5) / eval_resolution

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -5,14 +6,25 @@ import pytest
 
 from drapefit import (
     LossWeights,
+    PhysicsConstants,
     SamplerConfig,
+    TrainConfig,
     init_model,
     save_checkpoint,
     square_cloth,
     square_cloth_with_hole,
 )
 from drapefit.cli import main
-from drapefit.config import RunConfig, garment_from_obj, load_config, save_config
+from drapefit.config import (
+    BenchSpec,
+    ColliderSpec,
+    ExportSpec,
+    GarmentSpec,
+    RunConfig,
+    garment_from_obj,
+    load_config,
+    save_config,
+)
 from drapefit.errors import ConfigError
 from drapefit.objio import read_obj, write_obj
 from drapefit.surface import EncoderConfig
@@ -47,6 +59,57 @@ def quick_run_config(tmp_path, **train_over) -> str:
     return path
 
 
+def every_key_changed(garment_obj, encoding) -> RunConfig:
+    """A valid RunConfig with every INI key away from its default."""
+    multigrid = encoding == "multigrid"
+    return RunConfig(
+        train=TrainConfig(
+            epochs=12,
+            learning_rate=1e-3,
+            weights=LossWeights(0.1, 0.2, 0.3, 0.4),
+            consts=PhysicsConstants(2.0, 3.5, (1.0, 0.0, 0.0), 0.002),
+            sampler=SamplerConfig(0.25, 0.75, 8, 9, 100, 2, 0.01, ("strain", "gravity")),
+            encoder=EncoderConfig((33, 17, 9), 4) if multigrid else None,
+            mlp_hidden=(16, 8),
+            activation="tanh",
+            encoding=encoding,
+            num_frequencies=6,
+            sampling_mode="uniform",
+            structure_side=0.002,
+            strain_edges="inner3",
+            strain_form="absolute",
+            optimizer="adam",
+            seed=9,
+            convergence_window=7,
+            convergence_tol=1e-3,
+            early_stop=False,
+            checkpoint_every=5,
+            max_resample=3,
+            dtype="float64",
+            out_dir="runs/every",  # the loader sets it from [run] out
+            dump_pdf_every=4,
+        ),
+        garment=GarmentSpec("obj", 33, garment_obj),
+        collider=ColliderSpec(
+            "torus", "unused.obj", 2, 0.3, (0.4, 0.6, -0.5), 0.35, 0.05, 40, 20,
+            0.5, 1.5, 30, 10,
+        ),
+        export=ExportSpec(40),
+        bench=BenchSpec(1e-5, 1e-2, "sgd", 256, 100, 5, 32),
+        out="runs/every",
+    )
+
+
+def assert_all_fields_differ(a, b, same, where="cfg"):
+    """Every (nested) field of a differs from b's, except the paths in same."""
+    for f in dataclasses.fields(a):
+        x, y, name = getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}"
+        if dataclasses.is_dataclass(x) and dataclasses.is_dataclass(y):
+            assert_all_fields_differ(x, y, same, name)
+        elif name not in same:
+            assert x != y, f"{name} is at its default"
+
+
 class TestConfig:
     def test_roundtrip_equality(self, tmp_path):
         cfg = RunConfig()
@@ -57,6 +120,33 @@ class TestConfig:
         back = load_config(path)
         cfg.train.out_dir = cfg.out  # loader materializes the out dir
         assert back == cfg
+
+    @pytest.mark.parametrize("encoding", ["multigrid", "positional"])
+    def test_roundtrip_changes_every_key(self, tmp_path, encoding):
+        obj = tmp_path / "cloth.obj"
+        write_cloth_obj(obj)
+        cfg = every_key_changed(str(obj), encoding)
+        # the multigrid arm keeps the default encoding to carry the grid keys
+        same = {"cfg.train.encoding"} if encoding == "multigrid" else set()
+        assert_all_fields_differ(cfg, RunConfig(), same)
+        path = tmp_path / "every.ini"
+        save_config(cfg, path)
+        assert load_config(path) == cfg
+
+    def test_bench_ranges_reported_together(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(
+            "[bench]\nbatch_size = 0\neval_every = 0\neval_resolution = 0\n"
+            "max_epochs = -1\nlearning_rate = 0\nthreshold = nan\n"
+        )
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        msg = str(err.value)
+        for key in ("batch_size", "eval_every", "eval_resolution", "max_epochs",
+                    "learning_rate", "threshold"):
+            assert f"[bench] {key}" in msg
+        assert main(["bench-encoding", "--config", str(path)]) == 1
+        assert "config error:" in capsys.readouterr().err
 
     def test_defaults_match_published_settings(self, tmp_path):
         cfg = RunConfig()
@@ -126,12 +216,17 @@ class TestAtlasCommand:
                    "--out", str(tmp_path)])
         assert rc == 0
 
-    def test_threads_is_an_atlas_flag_only(self, tmp_path, capsys):
+    def test_threads_is_a_usage_error(self, tmp_path, capsys):
+        # the atlas's lookups share the CPUs on their own; no command takes
+        # a thread count
         path = tmp_path / "cloth.obj"
         write_cloth_obj(path)
         rc = main(["atlas", "--garment", str(path), "--resolution", "16",
                    "--threads", "2", "--out", str(tmp_path)])
-        assert rc == 0
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--threads" in err
+        assert not (tmp_path / "atlas.npz").exists()
         assert main(["train", "--config", quick_run_config(tmp_path), "--threads", "2"]) == 1
         assert "--threads" in capsys.readouterr().err
 

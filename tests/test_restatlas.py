@@ -330,11 +330,20 @@ class TestAtlas:
         assert atlas.positions[atlas.mask].min() >= -1e-9
         assert atlas.positions[atlas.mask].max() <= 1.0 + 1e-9
 
-    def test_thread_schedule_independence(self, curved_mesh):
-        a = build_atlas(curved_mesh, 32, threads=1)
-        b = build_atlas(curved_mesh, 32, threads=3)
-        assert np.array_equal(a.mask, b.mask)
-        assert np.array_equal(a.positions, b.positions)
+    def test_equals_per_pixel_rest_positions(self, curved_mesh):
+        # the atlas is one batched lookup; each pixel must hold the bits of
+        # its own single-point lookup, and +0 where the pixel is invalid
+        for mesh, R in ((curved_mesh, 32), (square_cloth_with_hole(9), 24)):
+            atlas = build_atlas(mesh, R)
+            loc = mesh.locator()
+            lo = mesh.vertices.min(axis=0)
+            for i in range(R):
+                for j in range(R):
+                    pos, valid = loc.rest_positions([[(j + 0.5) / R, (i + 0.5) / R]])
+                    assert atlas.mask[i, j] == valid[0]
+                    expected = (pos[0] - lo) * atlas.scale if valid[0] else np.zeros(3)
+                    assert atlas.positions[i, j].tobytes() == expected.tobytes()
+        assert not atlas.mask.all()  # the holed cloth, last, has invalid pixels
 
     def test_minimum_resolution(self, planar_mesh):
         assert build_atlas(planar_mesh, 2).resolution == 2

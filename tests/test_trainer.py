@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import threading
 
 import numpy as np
@@ -25,7 +26,7 @@ from drapefit import (
     train_epoch,
 )
 from drapefit.errors import AllPointsInvalid, BudgetMismatch, ConfigError, NonFiniteLoss
-from drapefit.surface import backward, forward_batch
+from drapefit.surface import backward, forward_batch, load_checkpoint
 from drapefit.trainer import (
     BenchVariant,
     MeshGraph,
@@ -257,6 +258,25 @@ class TestTrain:
         )
         model, history, _ = train(config, mesh, sphere)
         assert len(history) == 10
+
+    def test_early_stop_off_period_saves_the_returned_model(self, tmp_path):
+        # periodic checkpoints at epochs 3, 6 and 9; the flat history
+        # converges at epoch 10, which must be saved too
+        config = tiny_config(
+            epochs=50,
+            weights=LossWeights(0, 0, 0, 0),
+            convergence_window=5,
+            checkpoint_every=3,
+            out_dir=str(tmp_path / "run"),
+        )
+        model, history, paths = train(config, square_cloth(6), None)
+        assert len(history) == 10
+        assert [os.path.basename(p) for p in paths] == [
+            f"epoch{e:06d}.ckpt" for e in (3, 6, 9, 10)
+        ]
+        saved = load_checkpoint(paths[-1])
+        for a, b in zip(saved.param_arrays(), model.param_arrays(), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_invalid_config_lists_all_problems(self):
         config = tiny_config(epochs=0, learning_rate=-1.0, optimizer="bogus")
