@@ -39,6 +39,7 @@ def _load_config(args) -> cfgmod.RunConfig:
     cfg = cfgmod.load_config(args.config)
     if args.seed is not None:
         cfg.train.seed = args.seed
+        cfg.train.validate()
     if args.out:
         cfg.out = args.out
         cfg.train.out_dir = args.out
@@ -47,10 +48,7 @@ def _load_config(args) -> cfgmod.RunConfig:
 
 def _garment_from_args(args, cfg=None):
     if getattr(args, "garment", None):
-        data = read_obj(args.garment)
-        if data.uvs is None or data.face_uvs is None:
-            raise ConfigError("garment OBJ lacks texture coordinates")
-        return cfgmod.garment_from_obj(data)
+        return cfgmod.garment_from_obj(read_obj(args.garment))
     if cfg is not None:
         return cfg.build_garment()
     raise ConfigError("provide --garment OBJ or --config")
@@ -84,17 +82,7 @@ def cmd_train(args) -> int:
     model, history, paths = train(cfg.train, mesh, collider)
     final = os.path.join(cfg.out, "final.ckpt")
     save_checkpoint(model, final)
-    report = evaluate_dense(
-        model,
-        mesh,
-        collider,
-        cfg.export.resolution,
-        cfg.train.weights,
-        cfg.train.consts,
-        seed=cfg.train.seed,
-        side=cfg.train.structure_side,
-        edge_set=cfg.train.strain_edges,
-    )
+    report = _dense_report(cfg, model, mesh, collider)
     summary = os.path.join(cfg.out, "summary.txt")
     with open(summary, "w") as fh:
         for key, value in _report_rows(report, len(history)):
@@ -103,6 +91,15 @@ def cmd_train(args) -> int:
     print(f"epochs_run = {len(history)}")
     print(f"summary = {summary}")
     return 0
+
+
+def _dense_report(cfg, model, mesh, collider):
+    """Dense evaluation of ``model`` at the config's export resolution."""
+    t = cfg.train
+    return evaluate_dense(
+        model, mesh, collider, cfg.export.resolution, t.weights, t.consts,
+        seed=t.seed, side=t.structure_side, edge_set=t.strain_edges,
+    )
 
 
 def _report_rows(report, epochs):
@@ -200,17 +197,7 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     mesh = cfg.build_garment()
     collider = cfg.build_collider()
-    report = evaluate_dense(
-        model,
-        mesh,
-        collider,
-        cfg.export.resolution,
-        cfg.train.weights,
-        cfg.train.consts,
-        seed=cfg.train.seed,
-        side=cfg.train.structure_side,
-        edge_set=cfg.train.strain_edges,
-    )
+    report = _dense_report(cfg, model, mesh, collider)
     for key, value in _report_rows(report, 0):
         if key != "epochs_run":
             print(f"{key} = {value}")

@@ -74,10 +74,7 @@ class RunConfig:
     def build_garment(self) -> GarmentRestMesh:
         if self.garment.source == "square":
             return square_cloth(self.garment.resolution)
-        data = read_obj(self.garment.path)
-        if data.uvs is None or data.face_uvs is None:
-            raise ConfigError("garment OBJ lacks texture coordinates")
-        return garment_from_obj(data)
+        return garment_from_obj(read_obj(self.garment.path))
 
     def build_collider(self) -> ColliderMesh | None:
         spec = self.collider
@@ -102,6 +99,8 @@ class RunConfig:
 
 def garment_from_obj(data) -> GarmentRestMesh:
     """Unify OBJ position/UV indexing: one vertex per (position, uv) pair."""
+    if data.uvs is None or data.face_uvs is None:
+        raise ConfigError("garment OBJ lacks texture coordinates")
     key = np.stack([data.faces.ravel(), data.face_uvs.ravel()], axis=1)
     uniq, inverse = np.unique(key, axis=0, return_inverse=True)
     vertices = data.vertices[uniq[:, 0]]
@@ -253,6 +252,16 @@ def _structural_problems(cfg: RunConfig) -> list:
         errors.append("[collider] source must be none, obj, icosphere, torus, or prism")
     elif cfg.collider.source == "obj" and not os.path.exists(cfg.collider.path):
         errors.append(f"[collider] path does not exist: {cfg.collider.path!r}")
+    collider = cfg.collider
+    for name in ("radius", "major_radius", "minor_radius", "side", "length"):
+        if not 0.0 < getattr(collider, name) < np.inf:
+            errors.append(f"[collider] {name} must be positive and finite")
+    if len(collider.center) != 3 or not np.all(np.isfinite(collider.center)):
+        errors.append("[collider] center must be three finite numbers")
+    for name, least in (("subdivisions", 0), ("major_segments", 3), ("minor_segments", 3),
+                        ("axis_segments", 1), ("side_segments", 1)):
+        if getattr(collider, name) < least:
+            errors.append(f"[collider] {name} must be >= {least}")
     if cfg.export.resolution < 2:
         errors.append("[export] resolution must be >= 2")
     bench = cfg.bench

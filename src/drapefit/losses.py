@@ -45,10 +45,11 @@ class LossWeights:
     gravity: float = 2.0
     collision: float = 1.0e7
 
-    def validate(self) -> None:
+    def problems(self) -> list:
         vals = (self.strain, self.bend, self.gravity, self.collision)
-        if any(not np.isfinite(v) or v < 0 for v in vals):
-            raise ValueError("loss weights must be finite and nonnegative")
+        if all(0.0 <= v < np.inf for v in vals):
+            return []
+        return ["loss weights must be finite and nonnegative"]
 
     def as_dict(self) -> dict:
         return {
@@ -78,10 +79,16 @@ class PhysicsConstants:
     def __post_init__(self):
         axis = np.asarray(self.gravity_axis, dtype=np.float64)
         norm = np.linalg.norm(axis)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError("gravity axis must be unit length")
-        if self.gravity < 0 or self.collision_epsilon < 0:
-            raise ValueError("gravity and collision epsilon must be nonnegative")
+        issues = []
+        if not abs(norm - 1.0) <= 1e-9:
+            issues.append("gravity_axis must be unit length")
+        if not 0.0 < self.mass_per_point < np.inf:
+            issues.append("mass must be positive and finite")
+        for name in ("gravity", "collision_epsilon"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                issues.append(f"{name} must be nonnegative and finite")
+        if issues:
+            raise ValueError("; ".join(issues))
         self.gravity_axis = tuple(float(a) for a in axis)
 
     @property

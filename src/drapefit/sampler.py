@@ -69,20 +69,25 @@ class SamplerConfig:
     min_spacing: float = 0.005    # diagnostic threshold only
     pdf_losses: tuple = LOSS_NAMES  # which losses feed the PDF estimate
 
-    def validate(self) -> None:
+    def problems(self) -> list:
+        """Every violated field, for error messages that list them all."""
+        issues = []
         if not 0.0 <= self.mu <= 1.0:
-            raise ValueError("mu must lie in [0, 1]")
+            issues.append("mu must lie in [0, 1]")
         if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+            issues.append("gamma must lie in [0, 1]")
         if self.pdf_rows < 1 or self.pdf_cols < 1:
-            raise ValueError("PDF grid must be at least 1x1")
+            issues.append("PDF grid must be at least 1x1")
         if self.n_points < 1:
-            raise ValueError("n_points must be >= 1")
+            issues.append("n_points must be >= 1")
         if self.lloyd_iterations < 0:
-            raise ValueError("lloyd_iterations must be >= 0")
+            issues.append("lloyd_iterations must be >= 0")
+        if not 0.0 <= self.min_spacing < np.inf:
+            issues.append("min_spacing must be nonnegative and finite")
         unknown = set(self.pdf_losses) - set(LOSS_NAMES)
         if unknown:
-            raise ValueError(f"unknown pdf losses {sorted(unknown)}")
+            issues.append(f"unknown pdf losses {sorted(unknown)}")
+        return issues
 
 
 def estimate_cell_losses(

@@ -10,6 +10,7 @@ runs, the mesh-connectivity baselines, and the supervised encoding benchmark.
 
 import csv
 import json
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -43,6 +44,7 @@ from .sampler import (
     THETA_MAX,
     DiscretePdf,
     SamplerConfig,
+    dump_pdf_heatmap,
     estimate_cell_losses,
     min_spacing_report,
     sample_batch,
@@ -113,18 +115,11 @@ class TrainConfig:
             issues.append("epochs must be >= 1")
         if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
             issues.append("learning_rate must be positive and finite")
-        try:
-            self.weights.validate()
-        except ValueError as exc:
-            issues.append(str(exc))
-        try:
-            self.sampler.validate()
-        except ValueError as exc:
-            issues.append(str(exc))
+        issues += self.weights.problems() + self.sampler.problems()
         if self.sampling_mode not in SAMPLING_MODES:
             issues.append(f"sampling_mode must be one of {SAMPLING_MODES}")
-        if self.structure_side <= 0:
-            issues.append("structure_side must be positive")
+        if not 0.0 < self.structure_side < np.inf:
+            issues.append("structure_side must be positive and finite")
         if self.strain_edges not in (EDGE_SET_ALL, EDGE_SET_INNER):
             issues.append("strain_edges must be all9 or inner3")
         if self.strain_form not in ("relative", "absolute"):
@@ -141,12 +136,13 @@ class TrainConfig:
             issues.append("activation must be relu or tanh")
         if self.convergence_window < 1:
             issues.append("convergence_window must be >= 1")
-        if self.convergence_tol <= 0:
-            issues.append("convergence_tol must be positive")
+        if not 0.0 < self.convergence_tol < np.inf:
+            issues.append("convergence_tol must be positive and finite")
         if self.dtype not in ("float32", "float64"):
             issues.append("dtype must be float32 or float64")
-        if self.max_resample < 0:
-            issues.append("max_resample must be >= 0")
+        for name in ("seed", "max_resample", "checkpoint_every", "dump_pdf_every"):
+            if getattr(self, name) < 0:
+                issues.append(f"{name} must be >= 0")
         return issues
 
     def validate(self) -> None:
@@ -305,20 +301,17 @@ def train_epoch(
     points = lloyd_relax(points, scfg.lloyd_iterations)
     thetas = rng.uniform(0.0, THETA_MAX, len(points))
 
-    valid = structure_validity(
-        mesh, points, thetas, config.structure_side,
-        edge_set=config.strain_edges, strain_form=config.strain_form,
-    )
-    for _ in range(config.max_resample):
-        if valid.all():
-            break
-        bad = ~valid
-        points[bad] = rng.random((int(bad.sum()), 2))
-        thetas[bad] = rng.uniform(0.0, THETA_MAX, int(bad.sum()))
+    for attempt in range(config.max_resample + 1):
         valid = structure_validity(
             mesh, points, thetas, config.structure_side,
             edge_set=config.strain_edges, strain_form=config.strain_form,
         )
+        if valid.all() or attempt == config.max_resample:
+            break
+        bad = ~valid
+        n_bad = int(bad.sum())
+        points[bad] = rng.random((n_bad, 2))
+        thetas[bad] = rng.uniform(0.0, THETA_MAX, n_bad)
     if not valid.any():
         raise AllPointsInvalid("no sampled point yields a valid structure")
     points, thetas = points[valid], thetas[valid]
@@ -475,46 +468,70 @@ def mesh_connectivity_baseline(
     """Optimize with losses on the original mesh connectivity.
 
     ``vertices``: free variables are the vertex positions themselves.
-    ``model``: the neural surface is queried only at the mesh's own UVs.
+    ``model``: the neural surface is queried only at the mesh's own UVs; this
+    is ``train`` in the ``mesh_connectivity`` sampling mode, without output.
     """
     if variant not in ("vertices", "model"):
         raise ValueError("variant must be 'vertices' or 'model'")
+    if variant == "model":
+        model, history, _ = train(
+            replace(config, sampling_mode="mesh_connectivity", out_dir=None),
+            mesh, collider,
+        )
+        return BaselineResult("model", model.param_count(), history, model=model)
+
     graph = MeshGraph.build(mesh)
     history = []
-
-    if variant == "vertices":
-        positions = mesh.vertices.copy()
-        opt = OptimizerState.create(config.optimizer, [positions])
-        for _ in range(config.epochs):
-            t0 = time.perf_counter()
-            sums, dpos = _mesh_losses(
-                positions, graph, collider, config.weights, config.consts,
-                config.strain_form, want_grad=True,
-            )
-            opt.step([positions], [dpos], config.learning_rate)
-            history.append(_history_row(
-                len(history), config.weights, sums, float("nan"), len(mesh.uvs), t0
-            ))
-        return BaselineResult("vertices", positions.size, history, positions=positions)
-
-    model = config.build_model()
-    opt = OptimizerState.create(config.optimizer, model.param_arrays())
-    uv = mesh.uvs
-    rest = mesh.vertices
+    positions = mesh.vertices.copy()
+    opt = OptimizerState.create(config.optimizer, [positions])
     for _ in range(config.epochs):
         t0 = time.perf_counter()
-        disp, tape = forward_batch(model, uv, record_tape=True)
-        positions = rest + disp.astype(np.float64)
         sums, dpos = _mesh_losses(
             positions, graph, collider, config.weights, config.consts,
             config.strain_form, want_grad=True,
         )
-        grads = backward(model, tape, dpos)
-        opt.step(model.param_arrays(), grads.arrays(), config.learning_rate)
+        opt.step([positions], [dpos], config.learning_rate)
         history.append(_history_row(
-            len(history), config.weights, sums, float("nan"), len(uv), t0
+            len(history), config.weights, sums, float("nan"), len(mesh.uvs), t0
         ))
-    return BaselineResult("model", model.param_count(), history, model=model)
+    return BaselineResult("vertices", positions.size, history, positions=positions)
+
+
+def _mesh_epochs(state, config, mesh, collider):
+    """Epochs of the ``mesh_connectivity`` mode, one per ``next``: the
+    surface is queried only at the mesh's own UVs, and the losses run on the
+    mesh's edges and faces.
+
+    A generator, not a function called once per epoch: its locals keep one
+    epoch's arrays alive until the next epoch has made its own, as a plain
+    loop does. Freed at the end of every call, the working set would go
+    back to the allocator, which trims the heap, and every epoch would
+    page-fault it back in.
+    """
+    graph = MeshGraph.build(mesh)
+    while True:
+        t0 = time.perf_counter()
+        disp, tape = forward_batch(state.model, mesh.uvs, record_tape=True)
+        positions = mesh.vertices + disp.astype(np.float64)
+        sums, dpos = _mesh_losses(
+            positions, graph, collider, config.weights, config.consts,
+            config.strain_form, want_grad=True,
+        )
+        grads = backward(state.model, tape, dpos)
+        _apply_gradients(state, config, grads)
+        state.history.append(_history_row(
+            state.epoch, config.weights, sums, float("nan"), len(mesh.uvs), t0
+        ))
+        state.epoch += 1
+        yield
+
+
+def _sampled_epochs(state, config, mesh, collider):
+    """Epochs of the ``adaptive`` and ``uniform`` modes, one per ``next``."""
+    while True:
+        # looked up on the module at every epoch: perfbench wraps trainer.train_epoch
+        train_epoch(state, config, mesh, collider)
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +604,6 @@ def evaluate_dense(
 # full training entry point with logging, checkpointing, convergence
 
 
-def _write_csv_header(fh):
-    writer = csv.writer(fh)
-    writer.writerow(HISTORY_COLUMNS)
-    fh.flush()
-    return writer
-
-
 def train(
     config: TrainConfig,
     mesh: GarmentRestMesh,
@@ -601,38 +611,35 @@ def train(
 ):
     """Run the training loop; returns (model, history, checkpoint paths).
 
-    Writes a per-epoch CSV loss log and periodic checkpoints when
-    ``config.out_dir`` is set. Stops early once the windowed convergence
-    criterion fires, unless ``early_stop`` is disabled.
+    Every sampling mode runs through the same loop. When ``config.out_dir``
+    is set it writes a per-epoch CSV loss log and the periodic and final
+    checkpoints with their resumable state. Stops early once the windowed
+    convergence criterion fires, unless ``early_stop`` is disabled.
     """
     config.validate()
-    if config.sampling_mode == "mesh_connectivity":
-        result = mesh_connectivity_baseline(mesh, collider, config, variant="model")
-        paths = []
-        if config.out_dir is not None:
-            paths.append(_dump_run(config, result.model, result.history))
-        return result.model, result.history, paths
-
-    state = TrainState.fresh(config)
-    return _run_epochs(state, config, mesh, collider)
+    return _run_epochs(TrainState.fresh(config), config, mesh, collider)
 
 
 def _run_epochs(state, config, mesh, collider):
-    import os
-
+    """Run epochs from ``state`` up to ``config.epochs``; a state loaded by
+    ``load_train_state`` resumes its run here."""
+    if config.sampling_mode == "mesh_connectivity":
+        epochs = _mesh_epochs(state, config, mesh, collider)
+    else:
+        epochs = _sampled_epochs(state, config, mesh, collider)
     csv_fh = writer = None
     paths = []
     if config.out_dir is not None:
         os.makedirs(config.out_dir, exist_ok=True)
         csv_fh = open(os.path.join(config.out_dir, "loss_log.csv"), "a", newline="")
+        writer = csv.writer(csv_fh)
         if csv_fh.tell() == 0:
-            writer = _write_csv_header(csv_fh)
-        else:
-            writer = csv.writer(csv_fh)
+            writer.writerow(HISTORY_COLUMNS)
+            csv_fh.flush()
     try:
         while state.epoch < config.epochs:
             try:
-                train_epoch(state, config, mesh, collider)
+                next(epochs)
             except NonFiniteLoss:
                 if config.out_dir is not None:
                     _write_diagnostic_dump(state, config)
@@ -646,8 +653,6 @@ def _run_epochs(state, config, mesh, collider):
                 and config.out_dir is not None
                 and state.epoch % config.dump_pdf_every == 0
             ):
-                from .sampler import dump_pdf_heatmap
-
                 dump_pdf_heatmap(
                     state.pdf.probs,
                     os.path.join(config.out_dir, f"pdf_epoch{state.epoch:06d}"),
@@ -679,8 +684,6 @@ def _run_epochs(state, config, mesh, collider):
 
 
 def _write_diagnostic_dump(state: TrainState, config: TrainConfig) -> None:
-    import os
-
     path = os.path.join(config.out_dir, "diagnostics.txt")
     with open(path, "w") as fh:
         fh.write(f"aborted_at_epoch {state.epoch}\n")
@@ -692,19 +695,6 @@ def _write_diagnostic_dump(state: TrainState, config: TrainConfig) -> None:
             )
         if state.history:
             fh.write(f"last_row {state.history[-1]}\n")
-
-
-def _dump_run(config, model, history):
-    import os
-
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, "final.ckpt")
-    save_checkpoint(model, path)
-    with open(os.path.join(config.out_dir, "loss_log.csv"), "w", newline="") as fh:
-        writer = _write_csv_header(fh)
-        for row in history:
-            writer.writerow([row[c] for c in HISTORY_COLUMNS])
-    return path
 
 
 def save_train_state(state: TrainState, prefix: str) -> None:

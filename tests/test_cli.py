@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,43 @@ class TestConfig:
             load_config(path)
         msg = str(err.value)
         assert "epochs" in msg and "learning_rate" in msg and "optimizer" in msg
+        path.write_text("[sampler]\nmu = 2\ngamma = 2\nn_points = 0\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        msg = str(err.value)
+        assert "mu" in msg and "gamma" in msg and "n_points" in msg
+
+    def test_out_of_range_values_are_all_named(self, tmp_path, capsys):
+        # nan must fail every range check, as a negative or zero value does
+        bad = {
+            "train": dict(structure_side="nan", convergence_tol="nan", seed="-1",
+                          checkpoint_every="-1", dump_pdf_every="-1"),
+            "physics": dict(mass="-1", collision_epsilon="nan"),
+            "sampler": dict(min_spacing="-1"),
+            "collider": dict(radius="-1", subdivisions="-1", major_radius="nan",
+                             minor_radius="0", side="inf", length="-2",
+                             major_segments="2", minor_segments="2",
+                             axis_segments="0", side_segments="0"),
+        }
+        path = tmp_path / "bad.ini"
+        path.write_text("".join(
+            f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for section, keys in bad.items()
+        ))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        msg = str(err.value)
+        for keys in bad.values():
+            for key in keys:
+                assert re.search(rf"\b{key} must", msg), key
+        # the run stops before it writes anything
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        good = quick_run_config(tmp_path)
+        assert main(["train", "--config", good, "--seed", "-1", "--out", str(tmp_path / "run")]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_obj_paths_are_errors(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -1,5 +1,11 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -681,26 +687,40 @@ class TestRowBlocks:
         # every other block ran to its end before the exception was raised
         assert sorted(done) == [0, 2 * ROW_BLOCK, 3 * ROW_BLOCK]
 
-    def test_a_nested_call_runs_inline_on_its_worker(self, monkeypatch):
-        self._pooled(monkeypatch)
-        n = drapefit.rows.POOL_SIZE * 2 * ROW_BLOCK
-        nested = []  # (thread of an outer block, threads of its inner blocks)
-
-        def outer(rows):
-            inner = []
-            map_blocks(lambda r: inner.append(threading.get_ident()), n)
-            nested.append((threading.get_ident(), inner))
-
+    def test_a_nested_call_runs_inline_on_its_worker(self):
         # with every worker busy on an outer block, a nested call that waited
-        # on the pool would never return
-        caller = threading.Thread(target=map_blocks, args=(outer, n), daemon=True)
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive(), "nested map_blocks deadlocked"
-        assert len(nested) == n // ROW_BLOCK
+        # on the pool would never return. The call runs in a child process:
+        # a deadlocked pool would also hang this interpreter's exit, which
+        # joins the pool's workers, so the child is killed at the timeout
+        script = textwrap.dedent("""
+            import json, threading
+            import drapefit.rows
+            from drapefit.rows import ROW_BLOCK, map_blocks
+
+            drapefit.rows.POOL_SIZE = max(2, drapefit.rows.POOL_SIZE)
+            n = drapefit.rows.POOL_SIZE * 2 * ROW_BLOCK
+            nested = []  # (thread of an outer block, threads of its inner blocks)
+
+            def outer(rows):
+                inner = []
+                map_blocks(lambda r: inner.append(threading.get_ident()), n)
+                nested.append((threading.get_ident(), inner))
+
+            map_blocks(outer, n)
+            print(json.dumps([n // ROW_BLOCK, threading.get_ident(), nested]))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(drapefit.rows.__file__).parents[1]))
+        try:
+            done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                                  capture_output=True, text=True)
+        except subprocess.TimeoutExpired:
+            pytest.fail("nested map_blocks deadlocked")
+        assert done.returncode == 0, done.stderr
+        blocks, caller, nested = json.loads(done.stdout)
+        assert len(nested) == blocks
         for worker, inner in nested:
-            assert worker != caller.ident
-            assert inner == [worker] * (n // ROW_BLOCK)
+            assert worker != caller
+            assert inner == [worker] * blocks
 
 
 class TestDomainCheck:

@@ -38,6 +38,7 @@ from drapefit.trainer import (
     save_train_state,
     sine_wave_target,
     _mesh_losses,
+    _run_epochs,
 )
 
 
@@ -382,6 +383,47 @@ class TestMeshConnectivity:
         sphere = icosphere(1, 0.3, (0.5, 0.5, -0.31))
         with pytest.raises(NonFiniteLoss):
             mesh_connectivity_baseline(square_cloth(12), sphere, config, variant="model")
+
+    def test_mesh_mode_writes_periodic_checkpoints(self, tmp_path):
+        config = tiny_config(epochs=6, checkpoint_every=3, sampling_mode="mesh_connectivity",
+                             out_dir=str(tmp_path / "run"))
+        _, history, paths = train(config, square_cloth(12), None)
+        assert [os.path.basename(p) for p in paths] == ["epoch000003.ckpt", "epoch000006.ckpt"]
+        assert all(os.path.exists(p[:-len(".ckpt")] + ".state.npz") for p in paths)
+        log = (tmp_path / "run" / "loss_log.csv").read_text().strip().splitlines()
+        assert len(log) == 1 + len(history) == 7
+
+    def test_mesh_mode_stops_early_on_flat_history(self):
+        config = tiny_config(epochs=50, weights=LossWeights(0, 0, 0, 0), convergence_window=5,
+                             sampling_mode="mesh_connectivity")
+        _, history, _ = train(config, square_cloth(12), None)
+        assert len(history) == 10
+
+    def test_diverging_mesh_run_leaves_diagnostics_and_its_log(self, tmp_path):
+        out = tmp_path / "run"
+        config = tiny_config(epochs=4, learning_rate=1e300, sampling_mode="mesh_connectivity",
+                             out_dir=str(out))
+        with pytest.raises(NonFiniteLoss):
+            train(config, square_cloth(12), None)
+        dump = (out / "diagnostics.txt").read_text().splitlines()
+        completed = int(dump[0].split()[1])
+        log = (out / "loss_log.csv").read_text().strip().splitlines()
+        assert completed >= 1 and len(log) == 1 + completed
+
+    def test_mesh_mode_resumes_bit_identically(self, tmp_path):
+        mesh = square_cloth(12)
+        sphere = icosphere(1, 0.3, (0.5, 0.5, -0.31))
+        config = tiny_config(epochs=6, learning_rate=1e-3, optimizer="adam", checkpoint_every=3,
+                             sampling_mode="mesh_connectivity", out_dir=str(tmp_path / "run"))
+        model, history, _ = train(config, mesh, sphere)
+        resumed = load_train_state(str(tmp_path / "run" / "epoch000003"))
+        assert resumed.epoch == 3
+        again, again_history, _ = _run_epochs(
+            resumed, dataclasses.replace(config, out_dir=None), mesh, sphere
+        )
+        for a, b in zip(again.param_arrays(), model.param_arrays(), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert [r["total"] for r in again_history] == [r["total"] for r in history]
 
     @pytest.mark.parametrize("case", ["cloth4", "cloth33", "torus", "shuffled"])
     def test_topology_helpers_match_row_sorts(self, case):
