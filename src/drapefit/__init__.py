@@ -85,6 +85,7 @@ from .trainer import (
     detect_convergence,
     evaluate_dense,
     mesh_connectivity_baseline,
+    run_epochs,
     supervised_bench,
     train,
     train_epoch,

@@ -13,7 +13,7 @@ from . import config as cfgmod
 from .errors import ConfigError, DrapefitError
 from .objio import read_obj, write_obj
 from .restatlas import build_atlas, dump_atlas_png
-from .surface import forward_batch, load_checkpoint, save_checkpoint
+from .surface import forward_batch, load_checkpoint
 from .trainer import evaluate_dense, supervised_bench, train
 from .config import BenchSpec
 
@@ -80,8 +80,16 @@ def cmd_train(args) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     cfgmod.save_config(cfg, os.path.join(cfg.out, "config_used.ini"))
     model, history, paths = train(cfg.train, mesh, collider)
+    # final.ckpt is a hard link to the last epoch checkpoint, renamed over an
+    # earlier run's; a rerun may already have rewritten the file both names
+    # share, and renaming a link onto another link of one file does nothing
     final = os.path.join(cfg.out, "final.ckpt")
-    save_checkpoint(model, final)
+    if not (os.path.exists(final) and os.path.samefile(final, paths[-1])):
+        staged = final + ".tmp"
+        if os.path.lexists(staged):
+            os.remove(staged)
+        os.link(paths[-1], staged)
+        os.replace(staged, final)
     report = _dense_report(cfg, model, mesh, collider)
     summary = os.path.join(cfg.out, "summary.txt")
     with open(summary, "w") as fh:

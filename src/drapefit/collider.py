@@ -28,7 +28,7 @@ from scipy.spatial import cKDTree
 
 from .errors import DegenerateMesh, EmptyCollider, UnreachablePoint
 from .objio import ObjData, read_obj
-from .rows import gather_rows
+from .rows import gather_rows, map_blocks
 
 
 def compute_vertex_normals(vertices, triangles) -> np.ndarray:
@@ -244,12 +244,19 @@ class ColliderMesh:
         and n_v is nonzero, else 0; nn is v where viol < 0, else -1. Points
         whose voxel clearance bound exceeds ``epsilon`` skip the
         nearest-vertex search; all others take it, so the result equals the
-        unculled search bit for bit.
+        unculled search bit for bit. The voxel lookups run per row block on
+        ``map_blocks``; the nearest-vertex search is one call.
         """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         if self._clearance is None:
             self._clearance = _VoxelClearance(self)
-        rest = np.flatnonzero(~(self._clearance.lookup(pts) > epsilon))
+        bound = np.empty(len(pts))
+
+        def block(rows):
+            bound[rows] = self._clearance.lookup(pts[rows])
+
+        map_blocks(block, len(pts))
+        rest = np.flatnonzero(~(bound > epsilon))
         sub = gather_rows(pts, rest)
         near, _ = self.index.nearest(sub)
         s = np.einsum(

@@ -30,7 +30,7 @@ from .structures import (
     LocalStructure3D,
     structure_vertices,
 )
-from .rows import gather_rows, scatter_add_rows
+from .rows import gather_rows, map_blocks, scatter_add_rows
 from .surface import SurfaceModel, forward_batch
 
 DEGENERATE_FACE_AREA = 1e-12  # m^2; smaller face pairs contribute no bending
@@ -338,7 +338,8 @@ def _lift_patches(mesh, centers, thetas, side, edge_set, strain_form):
 
     Returns the UV points (B, 7, 2), their rest positions (B, 7, 3), the
     validity that ``structure_validity`` documents (B,) and the selected
-    edges' rest lengths (B, E).
+    edges' rest lengths (B, E). The rest lengths and the validity are
+    computed per row block of patches, on ``map_blocks``.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
@@ -347,13 +348,23 @@ def _lift_patches(mesh, centers, thetas, side, edge_set, strain_form):
     pts = np.concatenate([verts, centers[:, None, :]], axis=1)  # (B, 7, 2)
     rest, point_ok = mesh.locator().rest_positions(pts.reshape(B * STRIDE, 2))
     rest = rest.reshape(B, STRIDE, 3)
-    valid = point_ok.reshape(B, STRIDE).all(axis=1)
+    point_ok = point_ok.reshape(B, STRIDE)
     edges = _structure_edges(edge_set)
-    rest_lengths = np.linalg.norm(
-        np.take(rest, edges[:, 0], axis=1) - np.take(rest, edges[:, 1], axis=1), axis=2
-    )
-    if strain_form == "relative":
-        valid &= np.all(rest_lengths > 1e-12, axis=1)
+    valid = np.empty(B, dtype=bool)
+    rest_lengths = np.empty((B, len(edges)))
+
+    def block(rows):
+        r = rest[rows]
+        lengths = np.linalg.norm(
+            np.take(r, edges[:, 0], axis=1) - np.take(r, edges[:, 1], axis=1), axis=2
+        )
+        rest_lengths[rows] = lengths
+        ok = point_ok[rows].all(axis=1)
+        if strain_form == "relative":
+            ok &= np.all(lengths > 1e-12, axis=1)
+        valid[rows] = ok
+
+    map_blocks(block, B)
     return pts, rest, valid, rest_lengths
 
 
@@ -411,13 +422,18 @@ def evaluate_structure_batch(
     """Evaluate the four losses on a batch of patches in one vectorized pass.
 
     Validity is that of ``structure_validity``; invalid structures contribute
-    zero everywhere.
+    zero everywhere. The strain, bend and gravity kernels run per row block
+    of valid patches, on ``map_blocks``; each block writes only its own
+    patches' rows, which no other patch's indices reach. Collision runs last,
+    on the whole batch, so every gradient row sums its kernels in the order
+    strain, bend, gravity, collision whatever the blocks.
     """
     pts, rest, struct_ok, rest_lengths = _lift_patches(
         mesh, centers, thetas, side, edge_set, strain_form
     )
     B = len(pts)
     edges_local = _structure_edges(edge_set)
+    E = len(edges_local)
 
     result = StructureBatchResult(
         valid=struct_ok,
@@ -430,32 +446,52 @@ def evaluate_structure_batch(
     if K == 0:
         return result
 
-    sel_pts = pts[struct_ok].reshape(K * STRIDE, 2)
-    sel_rest = rest[struct_ok].reshape(K * STRIDE, 3)
-    disp, tape = forward_batch(model, sel_pts, record_tape=want_grad)
-    positions = sel_rest + disp.astype(np.float64)
-    if not np.isfinite(positions).all():
-        raise NonFiniteLoss("surface evaluation produced non-finite positions")
-
-    offs = STRIDE * np.arange(K)[:, None, None]
-    edges = (edges_local[None, :, :] + offs).reshape(-1, 2)
-    faces = (FACES[None, :, :] + offs).reshape(-1, 3)
-    pairs = (FACE_PAIRS[None, :, :] + 4 * np.arange(K)[:, None, None]).reshape(-1, 2)
-    rest_sel = rest_lengths[struct_ok].reshape(-1)
-
-    # each kernel adds its weighted gradient into dpos; the order of the
-    # kernels fixes the summation order, and so the bits, of every row
+    ok_ids = np.flatnonzero(struct_ok)
+    disp, tape = forward_batch(
+        model, gather_rows(pts, ok_ids).reshape(K * STRIDE, 2), record_tape=want_grad
+    )
+    positions = np.empty((K * STRIDE, 3))
     dpos = np.zeros_like(positions) if want_grad else None
-    strain_terms = strain_edge_terms(
-        positions, edges, rest_sel, strain_form, coeff=weights.strain, out=dpos
-    )
-    bend_terms = bend_pair_terms(
-        positions, faces, pairs, result.diagnostics, coeff=weights.bend, out=dpos
-    )
-    center_ids = STRIDE * np.arange(K) + 6
-    gravity_terms = gravity_point_terms(
-        positions, center_ids, consts, coeff=weights.gravity, out=dpos
-    )
+    strain_terms = np.empty(K * E)
+    degenerate = []  # degenerate face pairs of each block
+
+    def block(rows):
+        k = rows.stop - rows.start
+        ids = ok_ids[rows]
+        at = slice(STRIDE * rows.start, STRIDE * rows.stop)
+        pos = positions[at]
+        pos[...] = gather_rows(rest, ids).reshape(-1, 3) + disp[at].astype(np.float64)
+        if not np.isfinite(pos).all():
+            raise NonFiniteLoss("surface evaluation produced non-finite positions")
+        out = None if dpos is None else dpos[at]
+        offs = STRIDE * np.arange(k)[:, None, None]
+        # each kernel adds its weighted gradient into out; the order of the
+        # kernels fixes the summation order, and so the bits, of every row
+        terms = strain_edge_terms(
+            pos,
+            (edges_local[None, :, :] + offs).reshape(-1, 2),
+            gather_rows(rest_lengths, ids).reshape(-1),
+            strain_form,
+            coeff=weights.strain,
+            out=out,
+        )
+        strain_terms[E * rows.start:E * rows.stop] = terms
+        result.strain[ids] = terms.reshape(k, -1).sum(axis=1)
+        diagnostics = LossDiagnostics()
+        result.bend[ids] = bend_pair_terms(
+            pos,
+            (FACES[None, :, :] + offs).reshape(-1, 3),
+            (FACE_PAIRS[None, :, :] + 4 * np.arange(k)[:, None, None]).reshape(-1, 2),
+            diagnostics,
+            coeff=weights.bend,
+            out=out,
+        ).reshape(k, -1).sum(axis=1)
+        degenerate.append(diagnostics.degenerate_face_pairs)
+        result.gravity[ids] = gravity_point_terms(
+            pos, STRIDE * np.arange(k) + 6, consts, coeff=weights.gravity, out=out
+        )
+
+    map_blocks(block, K)
 
     vert_ids = (STRIDE * np.arange(K)[:, None] + np.arange(6)[None, :]).reshape(-1)
     if collider is not None and len(collider.vertices) > 0:
@@ -465,10 +501,8 @@ def evaluate_structure_batch(
     else:
         coll_terms = np.zeros(len(vert_ids))
 
-    result.strain[struct_ok] = strain_terms.reshape(K, -1).sum(axis=1)
-    result.bend[struct_ok] = bend_terms.reshape(K, -1).sum(axis=1)
-    result.gravity[struct_ok] = gravity_terms
     result.collision[struct_ok] = coll_terms.reshape(K, -1).sum(axis=1)
+    result.diagnostics.degenerate_face_pairs = sum(degenerate)
     result.positions = positions
     result.strain_terms = strain_terms
     result.tape = tape  # None unless want_grad

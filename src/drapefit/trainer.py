@@ -617,12 +617,16 @@ def train(
     convergence criterion fires, unless ``early_stop`` is disabled.
     """
     config.validate()
-    return _run_epochs(TrainState.fresh(config), config, mesh, collider)
+    return run_epochs(TrainState.fresh(config), config, mesh, collider)
 
 
-def _run_epochs(state, config, mesh, collider):
-    """Run epochs from ``state`` up to ``config.epochs``; a state loaded by
-    ``load_train_state`` resumes its run here."""
+def run_epochs(state, config, mesh, collider):
+    """Run epochs from ``state`` up to ``config.epochs``, the loop of ``train``.
+
+    Returns (model, history, checkpoint paths) as ``train`` does. A state
+    loaded by ``load_train_state``, with the config of the run that saved it,
+    resumes that run bit for bit.
+    """
     if config.sampling_mode == "mesh_connectivity":
         epochs = _mesh_epochs(state, config, mesh, collider)
     else:

@@ -63,8 +63,10 @@ def test_shimmed_layers_run_on_the_calling_thread(monkeypatch):
     # the tracer keeps one span stack, so a shimmed layer called from a
     # row-block worker would nest its span under whatever span is open; only
     # the unshimmed insides of a block may leave the calling thread
+    import drapefit.losses
     import drapefit.rows
     import drapefit.surface
+    from drapefit.collider import _VoxelClearance
 
     monkeypatch.setattr(drapefit.rows, "POOL_SIZE", max(2, drapefit.rows.POOL_SIZE))
     calls = []  # (shim target, thread)
@@ -85,12 +87,30 @@ def test_shimmed_layers_run_on_the_calling_thread(monkeypatch):
         return encode_batch(model, pts)
 
     monkeypatch.setattr(drapefit.surface, "_encode_batch", recording_encode)
+    # the loss kernels and the voxel lookups are unshimmed insides of blocks too
+    kernel_threads = {"strain_edge_terms": set(), "lookup": set()}
+
+    def recording_inside(owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            kernel_threads[attr].add(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    recording_inside(drapefit.losses, "strain_edge_terms")
+    recording_inside(_VoxelClearance, "lookup")
+    # 64² dense centres are 4,096 patches, 28,672 points and 24,576 contact
+    # queries: at 2048 rows a block, every pass has two blocks or more
+    monkeypatch.setattr(drapefit.rows, "ROW_BLOCK", 2048)
     model = trainer.TrainConfig(epochs=1, seed=0).build_model()
-    # 64² dense centres are 28,672 points: three row blocks per pass
     trainer.evaluate_dense(model, df.square_cloth(16), df.icosphere(3, 0.3, (0.5, 0.5, -0.3)),
                            64, df.LossWeights(), df.PhysicsConstants())
     me = threading.get_ident()
     assert block_threads - {me}, "the row blocks never left the calling thread"
+    for attr, threads in kernel_threads.items():
+        assert threads - {me}, f"{attr} never left the calling thread"
     called = {name for name, _ in calls}
     assert {"drapefit.trainer.evaluate_dense", "drapefit.trainer.evaluate_structure_batch",
             "drapefit.losses.forward_batch", "TriangleLocator.rest_positions",

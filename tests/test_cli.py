@@ -280,6 +280,16 @@ class TestTrainCommand:
         summary = (out_dir / "summary.txt").read_text()
         assert "penetration_fraction" in summary
         assert (out_dir / "config_used.ini").exists()
+        # final.ckpt is the last epoch checkpoint under a second name, also
+        # after reruns into the same directory that end on the same epoch
+        # and on a later one
+        for rerun_epochs in (None, 2, 3):
+            if rerun_epochs is not None:
+                rerun = quick_run_config(tmp_path, epochs=rerun_epochs)
+                assert main(["train", "--config", rerun]) == 0
+            last = sorted(out_dir.glob("epoch*.ckpt"))[-1]
+            assert os.path.samefile(out_dir / "final.ckpt", last)
+            assert sorted(p.name for p in out_dir.glob("final*")) == ["final.ckpt"]
 
     def test_table_defaults_load_without_overrides(self, tmp_path):
         cfg = RunConfig()

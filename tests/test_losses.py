@@ -1,10 +1,15 @@
+import threading
+
 import numpy as np
 import pytest
 
+import drapefit.losses
+import drapefit.rows
 from drapefit import (
     EncoderConfig,
     LossWeights,
     PhysicsConstants,
+    TrainConfig,
     bend_loss,
     build_structure_2d,
     collision_loss,
@@ -19,7 +24,7 @@ from drapefit import (
     strain_loss_absolute,
     structure_loss,
 )
-from drapefit.errors import InvalidStructure, InvalidUvPoint, ZeroRestLength
+from drapefit.errors import InvalidStructure, InvalidUvPoint, NonFiniteLoss, ZeroRestLength
 from drapefit.losses import (
     STRIDE,
     LossDiagnostics,
@@ -34,6 +39,7 @@ from drapefit.losses import (
     strain_edge_terms,
     structure_validity,
 )
+from drapefit.rows import ROW_BLOCK
 from drapefit.structures import EDGES, FACE_PAIRS, FACES, INNER_EDGE_COUNT, LocalStructure3D
 from drapefit.trainer import MeshGraph
 
@@ -547,3 +553,152 @@ class TestOneKernelPerLoss:
             wrapper(got)
             kernel(want)
             assert got.tobytes() == want.tobytes()
+
+
+class TestPooledBlocks:
+    """The patch lift, the loss batch and the contact culling run their row
+    blocks on ``rows.map_blocks``. Pooled, inline, or as one block, they
+    give the same bytes."""
+
+    # small enough that the faces of some patches, not all, are degenerate
+    SIDE = 1.6e-6
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        mesh = square_cloth_with_hole(33)
+        rng = np.random.default_rng(11)
+        n = 2 * 24577 + 100
+        centers = rng.uniform(-0.02, 1.02, (n, 2))
+        thetas = rng.uniform(0.0, 2 * np.pi / 3, n)
+        ok = structure_validity(mesh, centers, thetas, self.SIDE)
+        # a decoder wide enough that its untaped forward pass is one block's
+        # bits however the rows are split (see README, Determinism)
+        model = TrainConfig(epochs=1, seed=4).build_model()
+        for a in model.param_arrays():
+            a += rng.normal(0.0, 0.05, a.shape).astype(a.dtype)
+        # its cap reaches above the cloth beside the hole
+        sphere = icosphere(3, 0.3, (0.15, 0.5, -0.25))
+        return mesh, model, sphere, centers, thetas, ok
+
+    @staticmethod
+    def _patches(scene, K):
+        """K valid patches with an invalid one before every thousandth, so
+        every block of the lift holds invalid patches; K = 0 keeps one."""
+        _, _, _, centers, thetas, ok = scene
+        good, bad = np.flatnonzero(ok)[:K], np.flatnonzero(~ok)
+        at = np.arange(0, K + 1, 1000)
+        order = np.insert(good, at, bad[: len(at)])
+        return centers[order], thetas[order]
+
+    @staticmethod
+    def _runs(monkeypatch, call, recorded):
+        """``call()`` as one block, then in blocks with one worker, then with
+        two or more. Returns the three results and whether any call of a
+        ``recorded`` (owner, attribute) left the calling thread."""
+        threads = set()
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                threads.add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for owner, attr in recorded:
+            monkeypatch.setattr(owner, attr, recording(getattr(owner, attr)))
+        results = []
+        for block, workers in [(1 << 30, 1), (ROW_BLOCK, 1),
+                               (ROW_BLOCK, max(2, drapefit.rows.POOL_SIZE))]:
+            with monkeypatch.context() as m:
+                m.setattr(drapefit.rows, "ROW_BLOCK", block)
+                m.setattr(drapefit.rows, "POOL_SIZE", workers)
+                threads.clear()
+                results.append(call())
+        return results, bool(threads - {threading.get_ident()})
+
+    @pytest.mark.parametrize("want_grad", [False, True])
+    @pytest.mark.parametrize("K", [0, 1, 8191, 8192, 16383, 16384, 16385, 24577])
+    def test_loss_batch(self, monkeypatch, scene, K, want_grad):
+        mesh, model, sphere, *_ = scene
+        centers, thetas = self._patches(scene, K)
+        weights = LossWeights(strain=1.0, bend=1.0, gravity=1.0, collision=1.0)
+        consts = PhysicsConstants(collision_epsilon=3e-3)
+
+        def call():
+            return evaluate_structure_batch(
+                model, mesh, sphere, centers, thetas, weights, consts,
+                side=self.SIDE, want_grad=want_grad,
+            )
+
+        (one, *blocked), left = self._runs(
+            monkeypatch, call, [(drapefit.losses, "strain_edge_terms")]
+        )
+        assert left == (K >= 2 * ROW_BLOCK), K
+        assert int(one.valid.sum()) == K and not one.valid.all()
+        if K > 1000:
+            assert 0 < one.diagnostics.degenerate_face_pairs < 3 * K
+            assert (one.collision > 0).any()
+        for got in blocked:
+            assert got.diagnostics.degenerate_face_pairs == one.diagnostics.degenerate_face_pairs
+            for name in ["valid", "strain", "bend", "gravity", "collision", "positions",
+                         "strain_terms", "upstream"]:
+                a, b = getattr(got, name), getattr(one, name)
+                if b is None:
+                    assert a is None and (K == 0 or name == "upstream" and not want_grad)
+                    continue
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), (name, K)
+
+    def test_non_finite_surface_output_in_the_second_block(self, monkeypatch, scene):
+        mesh, model, sphere, *_ = scene
+        centers, thetas = self._patches(scene, 16385)
+        forward = drapefit.losses.forward_batch
+
+        def poisoned(*args, **kwargs):
+            disp, tape = forward(*args, **kwargs)
+            disp[STRIDE * ROW_BLOCK + 3, 1] = np.nan
+            return disp, tape
+
+        monkeypatch.setattr(drapefit.losses, "forward_batch", poisoned)
+        for workers in (1, max(2, drapefit.rows.POOL_SIZE)):
+            monkeypatch.setattr(drapefit.rows, "POOL_SIZE", workers)
+            for want_grad in (False, True):
+                with pytest.raises(NonFiniteLoss):
+                    evaluate_structure_batch(
+                        model, mesh, sphere, centers, thetas, LossWeights(),
+                        PhysicsConstants(), side=self.SIDE, want_grad=want_grad,
+                    )
+
+    @pytest.mark.parametrize("B", [1, 8191, 16384, 24577, 40000])
+    def test_structure_validity(self, monkeypatch, scene, B):
+        mesh, _, _, centers, thetas, _ = scene
+        for edge_set, form in [("all9", "relative"), ("inner3", "absolute")]:
+            def call():
+                return _lift_patches(mesh, centers[:B], thetas[:B], self.SIDE, edge_set, form)
+
+            (one, *blocked), _ = self._runs(monkeypatch, call, [])
+            assert B == 1 or one[2].any() and not one[2].all()
+            for got in blocked:
+                for a, b in zip(got, one, strict=True):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (B, edge_set)
+            valid = structure_validity(mesh, centers[:B], thetas[:B], self.SIDE, edge_set, form)
+            assert valid.tobytes() == one[2].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 16383, 3 * ROW_BLOCK + 5])
+    def test_contacts_on_a_cold_and_a_warm_collider(self, monkeypatch, n):
+        from drapefit.collider import _VoxelClearance
+
+        points = np.random.default_rng(n).uniform([0.1, 0.1, -0.5], [0.9, 0.9, 0.2], (n, 3))
+
+        def call():
+            sphere = icosphere(3, 0.3, (0.5, 0.5, -0.25))
+            # on a cold voxel cache, then on the warm one
+            return [sphere.contacts(points, 3e-3) for _ in range(2)]
+
+        (one, *blocked), left = self._runs(monkeypatch, call, [(_VoxelClearance, "lookup")])
+        assert left == (n >= 2 * ROW_BLOCK), n
+        if n > 1:
+            assert (one[0][1] >= 0).any() and (one[0][1] < 0).any()
+        for got in [one[1:], *blocked]:
+            for (viol, nn), (want_viol, want_nn) in zip(got, one):
+                assert viol.tobytes() == want_viol.tobytes()
+                assert nn.tobytes() == want_nn.tobytes()

@@ -18,6 +18,7 @@ from drapefit import (
     icosphere,
     init_model,
     mesh_connectivity_baseline,
+    run_epochs,
     square_cloth,
     square_cloth_with_hole,
     supervised_bench,
@@ -38,7 +39,6 @@ from drapefit.trainer import (
     save_train_state,
     sine_wave_target,
     _mesh_losses,
-    _run_epochs,
 )
 
 
@@ -302,8 +302,8 @@ class TestResume:
 
         resumed = load_train_state(str(tmp_path / "snap"))
         assert resumed.epoch == 3
-        for _ in range(3):
-            train_epoch(resumed, config, mesh, sphere)
+        run_epochs(resumed, config, mesh, sphere)
+        assert resumed.epoch == 6
         for a, b in zip(resumed.model.param_arrays(), reference):
             assert np.array_equal(a, b)
         assert [r["total"] for r in resumed.history] == pytest.approx(
@@ -418,7 +418,7 @@ class TestMeshConnectivity:
         model, history, _ = train(config, mesh, sphere)
         resumed = load_train_state(str(tmp_path / "run" / "epoch000003"))
         assert resumed.epoch == 3
-        again, again_history, _ = _run_epochs(
+        again, again_history, _ = run_epochs(
             resumed, dataclasses.replace(config, out_dir=None), mesh, sphere
         )
         for a, b in zip(again.param_arrays(), model.param_arrays(), strict=True):
